@@ -255,8 +255,7 @@ func usage() {
 	b.WriteString("       wanperf simulate [-format csv|columnar] [-out FILE]\n")
 	b.WriteString("       wanperf convert -in FILE [-to csv|columnar] [-out FILE]\n")
 	b.WriteString("       wanperf serve -registry FILE [-addr ADDR] [-queue N] [-batch N]\n")
-	b.WriteString("                     [-batchers N] [-no-codespace]\n")
-	b.WriteString("                     [-queue-timeout DUR] [-request-timeout DUR]\n")
+	b.WriteString("                     [-batchers N] [-queue-timeout DUR] [-request-timeout DUR]\n")
 	b.WriteString("                     [-drain-timeout DUR] [-watch DUR]\n")
 	b.WriteString("       wanperf stream -in FILE -registry FILE [-log-format auto|csv|columnar]\n")
 	b.WriteString("                      [-poll DUR] [-window N] [-refresh-every N] [-min-train N]\n")
@@ -329,7 +328,6 @@ type options struct {
 	batchMax       int
 	batchers       int
 	maxBatchRows   int
-	noCodeSpace    bool
 	queueTimeout   time.Duration
 	requestTimeout time.Duration
 	drainTimeout   time.Duration
@@ -373,7 +371,6 @@ func parseArgs(args []string) (cmd string, cfg simulate.Config, opts options, er
 	batchMax := fs.Int("batch", 0, "serve: max rows per inference batch (0 = default)")
 	batchers := fs.Int("batchers", 0, "serve: parallel batcher goroutines (0 = GOMAXPROCS)")
 	maxBatchRows := fs.Int("max-batch-rows", 0, "serve: max rows per /predict/batch request (0 = default)")
-	noCodeSpace := fs.Bool("no-codespace", false, "serve: disable quantized (uint8 code-space) inference")
 	queueTimeout := fs.Duration("queue-timeout", 0, "serve: max queue wait before shedding (0 = default)")
 	requestTimeout := fs.Duration("request-timeout", 0, "serve: end-to-end request deadline (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", 0, "serve: hard deadline for graceful drain (0 = default)")
@@ -417,7 +414,6 @@ func parseArgs(args []string) (cmd string, cfg simulate.Config, opts options, er
 	opts.batchMax = *batchMax
 	opts.batchers = *batchers
 	opts.maxBatchRows = *maxBatchRows
-	opts.noCodeSpace = *noCodeSpace
 	opts.queueTimeout = *queueTimeout
 	opts.requestTimeout = *requestTimeout
 	opts.drainTimeout = *drainTimeout
@@ -716,8 +712,6 @@ func cmdServe(c cmdContext) error {
 		RequestTimeout: c.opts.requestTimeout,
 		DrainTimeout:   c.opts.drainTimeout,
 		WatchInterval:  c.opts.watch,
-
-		DisableCodeSpace: c.opts.noCodeSpace,
 	}
 	if c.o != nil && c.o.Metrics != nil {
 		scfg.Metrics = c.o.Metrics

@@ -1,0 +1,77 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// discardWriter is a reusable http.ResponseWriter: it keeps the status
+// code and drops the body, so an allocation count measures the handler
+// and not a recorder.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestFrontDoorAllocs bounds the allocations of one /predict and one
+// 256-row /predict/batch request through Server.Handler(), with the
+// request and the writer reused across calls. The bounds are the counts
+// the separate singleton and batch handlers measured before the two
+// routes shared one job path (go1.24, linux/amd64, 2 cores): 1 alloc/op
+// for /predict and 3 for the batch. Those are the []string values
+// http.Header.Set stores, one per header written (Content-Type, X-Rows),
+// plus the X-Rows integer formatting; the decode, admission, handoff and
+// encode path itself allocates nothing.
+func TestFrontDoorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured path")
+	}
+	s, _ := newTestServer(t, 1, func(c *Config) { c.Batchers = 1 })
+	s.Start()
+	defer s.Drain()
+	h := s.Handler()
+
+	var batch strings.Builder
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&batch, `{"src":"S1","dst":"D1","features":{"a":%g,"b":0.2,"c":0.9}}`+"\n", float64(i%10)/10)
+	}
+	cases := []struct {
+		path, body string
+		max        float64
+	}{
+		{"/predict", goodBody, 1},
+		{"/predict/batch", batch.String(), 3},
+	}
+	for _, tc := range cases {
+		body := []byte(tc.body)
+		rd := bytes.NewReader(body)
+		r := httptest.NewRequest(http.MethodPost, tc.path, nil)
+		r.Body = io.NopCloser(rd)
+		w := &discardWriter{h: http.Header{}}
+		call := func() {
+			rd.Reset(body)
+			w.code = 0
+			h.ServeHTTP(w, r)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s: status %d", tc.path, w.code)
+			}
+		}
+		for i := 0; i < 16; i++ { // warm the pools and the batcher scratch
+			call()
+		}
+		got := testing.AllocsPerRun(200, call)
+		t.Logf("%s: %.2f allocs/op", tc.path, got)
+		if got > tc.max {
+			t.Errorf("%s: %.2f allocs/op, want <= %v", tc.path, got, tc.max)
+		}
+	}
+}

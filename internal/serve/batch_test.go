@@ -253,7 +253,7 @@ func TestBatchMetrics(t *testing.T) {
 	if got, want := s.mBatchRows.Sum(), 11.0; got != want {
 		t.Errorf("serve.batch_rows sum %v, want %v", got, want)
 	}
-	if got := s.mBatchRequests.Value(); got != 3 {
+	if got := s.batch.requests.Value(); got != 3 {
 		t.Errorf("serve.batch_requests %d, want 3", got)
 	}
 	if got := s.cfg.Metrics.Counter("serve.predictions").Value(); got != 11 {

@@ -11,15 +11,15 @@ import (
 // The handoff machinery behind the front door. One admitted unit of work
 // is a job — n rows sharing an admission snapshot, an enqueue timestamp,
 // and ONE completion notification, whether it came from /predict (n=1),
-// /predict/batch, or PredictBatchSync. Jobs are sync.Pool-recycled
-// completion slots: the waiter checks one out, fills the row slabs, and
-// hands it to a per-batcher admission shard; the batcher that drains the
-// shard coalesces jobs up to BatchMax rows, runs ONE inference over the
-// gathered rows, publishes every result, and wakes each job with a
-// single channel send — one wake per job per drained batch, never one
-// per row. The waiter alone recycles the job (an abandoned job — client
-// deadline, drain hard-stop — is left to the GC, because the batcher may
-// still be writing into it).
+// /predict/batch, PredictSync (n=1) or PredictBatchSync. Jobs are
+// sync.Pool-recycled completion slots: the waiter checks one out, fills
+// the row slabs, and hands it to a per-batcher admission shard; the
+// batcher that drains the shard coalesces jobs up to BatchMax rows, runs
+// ONE inference over the gathered rows, publishes every result, and
+// wakes each job with a single channel send — one wake per job per
+// drained batch, never one per row. The waiter alone recycles the job
+// (an abandoned job — client deadline, drain hard-stop — is left to the
+// GC, because the batcher may still be writing into it).
 
 // job is one admitted unit of work.
 type job struct {
@@ -122,7 +122,7 @@ func (s *Server) quantizeJob(j *job, snap *Registry) {
 		}
 	}
 	j.qm = nil
-	if single && !s.cfg.DisableCodeSpace && first.m.CodeSpace() {
+	if single && first.m.CodeSpace() {
 		k := j.n * len(snap.Features)
 		if first.m.QuantizeSlab(j.x[:k], j.cx[:k]) == nil {
 			j.qm = first.m
@@ -255,7 +255,7 @@ func (s *Server) runJobs(sc *shardScratch) {
 		// code-space walk — in place over a job's own slab when the
 		// batch is one job (the /predict/batch steady state), via a
 		// gathered scratch slab otherwise (coalesced singletons).
-		codes := !s.cfg.DisableCodeSpace && first.m.CodeSpace()
+		codes := first.m.CodeSpace()
 		if codes {
 			for _, j := range jobs {
 				if !j.shed && j.qm != first.m {
@@ -329,7 +329,7 @@ func (s *Server) runJobs(sc *shardScratch) {
 	}
 	for m, refs := range groups {
 		out := make([]float64, len(refs))
-		codes := !s.cfg.DisableCodeSpace && m.CodeSpace()
+		codes := m.CodeSpace()
 		if codes {
 			for _, rr := range refs {
 				if rr.j.qm != m {

@@ -3,8 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -31,43 +36,98 @@ func TestRegistryVersion1FailsClosed(t *testing.T) {
 	}
 }
 
-// TestServeCodeSpaceABIdentical runs the same request stream through a
-// code-space server and a DisableCodeSpace (float-only) server built
-// from identical registries, and requires every answer to match
-// bit-for-bit — the serving-layer differential for the quantized engine,
-// covering edge and global models, batching, and the admission-time
-// quantizer.
-func TestServeCodeSpaceABIdentical(t *testing.T) {
-	quant, _ := newTestServer(t, 1, nil)
-	float, _ := newTestServer(t, 1, func(c *Config) { c.DisableCodeSpace = true })
-	quant.Start()
-	float.Start()
-	defer quant.Drain()
-	defer float.Drain()
+// TestServeMatchesFloatForest: the float forest is the reference every
+// served rate must reproduce. 300 randomized rows through HTTP /predict,
+// HTTP /predict/batch and PredictSync — the serving-layer differential
+// for the quantized engine, covering edge and global models, batching,
+// and the admission-time quantizer.
+func TestServeMatchesFloatForest(t *testing.T) {
+	s, _ := newTestServer(t, 1, nil)
+	s.Start()
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	checkMatchesFloat(t, s, ts.URL, 300)
+}
 
+// TestServeFloatFallback: a registry of exact-trained models has no code
+// forest, so every batch runs through runJobs' float branches — the
+// single-model walk for lone /predict rows and the grouped walk for a
+// batch mixing edge and global rows. Answers must still equal
+// Model.Predict bit for bit on both routes.
+func TestServeFloatFallback(t *testing.T) {
+	s, path := newTestServer(t, 1, nil)
+	writeRegistryFile(t, path, testRegistryBins(t, 1, 0))
+	if err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	checkMatchesFloat(t, s, ts.URL, 60)
+}
+
+// checkMatchesFloat sends n randomized rows — off the training surface
+// on purpose, every third on the global fallback — through PredictSync,
+// HTTP /predict and HTTP /predict/batch (chunks of up to 100 rows mixing
+// edge and global), and requires every answer to carry the model label
+// and the bit-exact rate of Registry.Lookup + Model.Predict.
+func checkMatchesFloat(t *testing.T, s *Server, url string, n int) {
+	t.Helper()
+	reg := s.Registry()
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 300; i++ {
-		req := &PredictRequest{Src: "S1", Dst: "D1", Features: map[string]float64{
-			"a": rng.Float64()*4 - 2, // off the training surface on purpose
-			"b": rng.Float64()*4 - 2,
-			"c": rng.Float64()*4 - 2,
-		}}
+	reqs := make([]*PredictRequest, n)
+	bodies := make([]string, n)
+	want := make([]PredictResponse, n)
+	for i := range reqs {
+		x := []float64{rng.Float64()*4 - 2, rng.Float64()*4 - 2, rng.Float64()*4 - 2}
+		req := &PredictRequest{Src: "S1", Dst: "D1", Features: map[string]float64{"a": x[0], "b": x[1], "c": x[2]}}
 		if i%3 == 0 {
-			req.Src, req.Dst = "X", "Y" // global fallback
+			req.Src, req.Dst = "X", "Y"
 		}
-		q, err := quant.PredictSync(context.Background(), req)
+		m, label := reg.Lookup(req.Src, req.Dst)
+		rate, err := m.Predict(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := float.PredictSync(context.Background(), req)
+		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.Rate != f.Rate {
-			t.Fatalf("request %d: code-space rate %v != float rate %v", i, q.Rate, f.Rate)
+		reqs[i], bodies[i], want[i] = req, string(body), PredictResponse{Rate: rate, Model: label}
+	}
+	check := func(path string, i int, got PredictResponse) {
+		t.Helper()
+		if math.Float64bits(got.Rate) != math.Float64bits(want[i].Rate) || got.Model != want[i].Model {
+			t.Fatalf("%s row %d: got %v (%s), float forest %v (%s)", path, i, got.Rate, got.Model, want[i].Rate, want[i].Model)
 		}
-		if q.Model != f.Model {
-			t.Fatalf("request %d: model %q vs %q", i, q.Model, f.Model)
+	}
+	for i, req := range reqs {
+		res, err := s.PredictSync(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("PredictSync", i, *res)
+		resp, body := postPredict(t, url, bodies[i])
+		var got PredictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+			t.Fatalf("/predict row %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		check("/predict", i, got)
+	}
+	for lo := 0; lo < n; lo += 100 {
+		hi := min(lo+100, n)
+		resp, lines := postBatch(t, url, strings.Join(bodies[lo:hi], "\n"))
+		if resp.StatusCode != http.StatusOK || len(lines) != hi-lo {
+			t.Fatalf("/predict/batch rows %d-%d: status %d, %d lines", lo, hi, resp.StatusCode, len(lines))
+		}
+		for k, line := range lines {
+			var got PredictResponse
+			if err := jsonUnmarshal(line, &got); err != nil {
+				t.Fatal(err)
+			}
+			check("/predict/batch", lo+k, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,8 +20,10 @@ var testFeatures = []string{"a", "b", "c"}
 
 // testModel trains a small ensemble on a synthetic surface scaled by
 // scale, so registries built with different scales predict differently —
-// which lets tests observe which snapshot answered.
-func testModel(t testing.TB, seed int64, scale float64) *gbt.Model {
+// which lets tests observe which snapshot answered. bins > 0 trains
+// histogram-binned models, which carry a code-space forest; bins == 0
+// trains exact ones, which serve through the float forest.
+func testModel(t testing.TB, seed int64, scale float64, bins int) *gbt.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const rows = 400
@@ -38,27 +41,33 @@ func testModel(t testing.TB, seed int64, scale float64) *gbt.Model {
 	p := gbt.DefaultParams()
 	p.Rounds = 25
 	p.Seed = seed
-	// Histogram-trained, so serve tests exercise the code-space (uint8)
-	// inference path end to end — the exact-rate assertions below then
-	// pin quantized serving bit-identical to Model.Predict. (The float
-	// batch path is covered by the DisableCodeSpace A/B test.)
-	p.Bins = 256
+	p.Bins = bins
 	m, err := gbt.Train(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.CodeSpace() {
-		t.Fatal("test model unexpectedly has no code-space forest")
+	if m.CodeSpace() != (bins > 0) {
+		t.Fatalf("bins %d: CodeSpace() = %v", bins, m.CodeSpace())
 	}
 	return m
 }
 
 // testRegistry builds a registry with one edge model (S1->D1) and a
-// global fallback, with valid probes.
+// global fallback, with valid probes. The models are histogram-trained,
+// so serve tests exercise the code-space (uint8) inference path end to
+// end — the exact-rate assertions then pin quantized serving
+// bit-identical to Model.Predict. (The float forest is covered by
+// TestServeFloatFallback over an exact-trained registry.)
 func testRegistry(t testing.TB, scale float64) *Registry {
 	t.Helper()
-	edge := testModel(t, 7, scale)
-	global := testModel(t, 8, scale)
+	return testRegistryBins(t, scale, 256)
+}
+
+// testRegistryBins is testRegistry with the models' training bins.
+func testRegistryBins(t testing.TB, scale float64, bins int) *Registry {
+	t.Helper()
+	edge := testModel(t, 7, scale, bins)
+	global := testModel(t, 8, scale, bins)
 	reg := &Registry{
 		Features: append([]string(nil), testFeatures...),
 		Global:   global,
@@ -250,6 +259,57 @@ func TestServerBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /predict: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestPredictSingletonWireContract pins what keeps /predict apart from
+// /predict/batch on the shared job path: the body is one JSON value, so
+// a pretty-printed, multi-line request — through the fast codec or the
+// encoding/json fallback — answers byte-identically (apart from
+// queue_ms) to its compact form as application/json without X-Rows, and
+// a malformed body's 400 names no line.
+func TestPredictSingletonWireContract(t *testing.T) {
+	s, _ := newTestServer(t, 1, nil)
+	s.Start()
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postPredict(t, ts.URL, goodBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact body: status %d: %s", resp.StatusCode, body)
+	}
+	want := stripQueueMS(t, strings.TrimSuffix(string(body), "\n"))
+	for _, pretty := range []string{
+		"{\n  \"src\": \"S1\",\n  \"dst\": \"D1\",\n  \"features\": {\n    \"a\": 0.5,\n    \"b\": 0.2,\n    \"c\": 0.9\n  }\n}\n",
+		"{\n  \"src\": \"S\\u0031\",\n  \"dst\": \"D1\",\n  \"features\": {\"a\": 0.5, \"b\": 0.2, \"c\": 0.9}\n}", // escape: json fallback
+	} {
+		resp, body := postPredict(t, ts.URL, pretty)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pretty body %q: status %d: %s", pretty, resp.StatusCode, body)
+		}
+		if got := stripQueueMS(t, strings.TrimSuffix(string(body), "\n")); got != want {
+			t.Errorf("pretty body %q:\n got  %s\n want %s", pretty, got, want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type %q, want application/json", ct)
+		}
+		if rows := resp.Header.Get("X-Rows"); rows != "" {
+			t.Errorf("singleton answer carries X-Rows %q", rows)
+		}
+	}
+	for _, bad := range []string{
+		"{\n  \"src\": \"S1\",\n  \"features\": {\"nope\": 1}\n}",
+		"{\n  \"features\":\n",
+	} {
+		resp, body := postPredict(t, ts.URL, bad)
+		var er errorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil {
+			t.Fatalf("malformed body %q: status %d: %s", bad, resp.StatusCode, body)
+		}
+		if strings.HasPrefix(er.Error, "line ") || !strings.HasPrefix(er.Error, "bad request") {
+			t.Errorf("malformed body %q: error %q, want an unnumbered bad request", bad, er.Error)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -35,13 +34,6 @@ type Config struct {
 	DrainTimeout   time.Duration // hard deadline for SIGTERM drain (default 5s)
 	WatchInterval  time.Duration // registry-file poll period (default 2s; <0 disables)
 	RetryAfter     time.Duration // Retry-After hint on shed responses (default 1s)
-
-	// DisableCodeSpace turns off quantized (uint8 code-space) inference,
-	// forcing every batch through the float traversal. The code path is
-	// bit-identical to the float path by construction — this switch exists
-	// for A/B measurement and as an operational escape hatch, not because
-	// outputs differ.
-	DisableCodeSpace bool
 
 	Metrics *obs.Registry        // instrument sink (default: fresh registry)
 	Logf    func(string, ...any) // operational log (default log.Printf)
@@ -120,16 +112,16 @@ type Server struct {
 	reloadMu  sync.Mutex // serializes Reload (SIGHUP vs watcher)
 	lastStamp registryStamp
 
-	mux *http.ServeMux
+	mux           *http.ServeMux
+	single, batch route // the /predict and /predict/batch front doors
 
 	// Instruments (all on cfg.Metrics).
-	mRequests, mPredictions, mBadRequests *obs.Counter
-	mPanics, mReloads, mReloadFailures    *obs.Counter
-	mBatches, mBatchRequests              *obs.Counter
-	mGeneration, mQueueDepth              *obs.Gauge
-	mBatchSize, mQueueWait, mLatency      *obs.Histogram
-	mBatchRows                            *obs.Histogram
-	latBuckets                            []float64
+	mPredictions, mBadRequests, mBatches *obs.Counter
+	mPanics, mReloads, mReloadFailures   *obs.Counter
+	mGeneration, mQueueDepth             *obs.Gauge
+	mBatchSize, mQueueWait, mLatency     *obs.Histogram
+	mBatchRows                           *obs.Histogram
+	latBuckets                           []float64
 }
 
 // registryStamp identifies a registry file state, so the watcher can skip
@@ -158,14 +150,14 @@ func New(cfg Config) (*Server, error) {
 		s.shards[i] = make(chan *job, per)
 	}
 	reg := cfg.Metrics
-	s.mRequests = reg.Counter("serve.requests")
+	s.single = route{requests: reg.Counter("serve.requests"), shed: "serve.shed", maxBody: MaxRequestBody}
+	s.batch = route{requests: reg.Counter("serve.batch_requests"), shed: "serve.batch_shed", maxBody: MaxBatchBody, ndjson: true}
 	s.mPredictions = reg.Counter("serve.predictions")
 	s.mBadRequests = reg.Counter("serve.bad_requests")
 	s.mPanics = reg.Counter("serve.panics")
 	s.mReloads = reg.Counter("serve.reloads")
 	s.mReloadFailures = reg.Counter("serve.reload_failures")
 	s.mBatches = reg.Counter("serve.batches")
-	s.mBatchRequests = reg.Counter("serve.batch_requests")
 	s.mGeneration = reg.Gauge("serve.generation")
 	s.mQueueDepth = reg.Gauge("serve.queue_depth")
 	s.mBatchSize = reg.Histogram("serve.batch_size", obs.ExpBuckets(1, 2, 10))
@@ -184,8 +176,8 @@ func New(cfg Config) (*Server, error) {
 	s.noteStamp()
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/predict", s.handlePredict)
-	s.mux.HandleFunc("/predict/batch", s.handlePredictBatch)
+	s.mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) { s.serveJob(w, r, &s.single) })
+	s.mux.HandleFunc("/predict/batch", func(w http.ResponseWriter, r *http.Request) { s.serveJob(w, r, &s.batch) })
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -436,184 +428,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// shed answers a request the daemon chose not to serve right now. Always
-// 429 + Retry-After: the condition is transient (queue pressure, reload
-// churn, drain) and the client should back off and retry — never a 5xx,
-// which would look like failure to a health-checking load balancer.
-func (s *Server) shed(w http.ResponseWriter, reason string) {
-	s.cfg.Metrics.Counter(`serve.shed{reason="` + reason + `"}`).Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "overloaded: " + reason})
-}
-
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
-	s.mBadRequests.Inc()
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-// handlePredict is the singleton front door: pooled body read, fast
-// codec (encoding/json fallback), one-row job through the sharded
-// admission queue, pooled response encoding.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
-		return
-	}
-	if !s.ready.Load() || s.draining.Load() {
-		s.shed(w, "draining")
-		return
-	}
-	buf := getBuf()
-	defer putBuf(buf)
-	body, err := readBody(r.Body, *buf, MaxRequestBody)
-	*buf = body[:0]
-	if err != nil {
-		s.badRequest(w, fmt.Errorf("reading body: %w", err))
-		return
-	}
-
-	snap := s.reg.Load()
-	nf := len(snap.Features)
-	j := newJob(1, nf)
-	var deadlineMS float64
-	var fr fastReq
-	if decodeFast(body, snap, j.x[:nf], &fr) {
-		// Intern src/dst out of the transient body buffer: a resolved
-		// edge entry carries the canonical strings; only the global
-		// fallback needs copies.
-		if e := snap.lookupEntryB(fr.src, fr.dst); e.isGlobal {
-			j.srcs[0], j.dsts[0] = string(fr.src), string(fr.dst)
-		} else {
-			j.srcs[0], j.dsts[0] = e.src, e.dst
-		}
-		deadlineMS = fr.deadline
-	} else {
-		req, perr := ParseRequest(body)
-		if perr != nil {
-			j.free()
-			s.badRequest(w, perr)
-			return
-		}
-		if verr := snap.Vectorize(req.Features, j.x[:nf]); verr != nil {
-			j.free()
-			s.badRequest(w, fmt.Errorf("%w: %v", ErrBadRequest, verr))
-			return
-		}
-		j.srcs[0], j.dsts[0] = req.Src, req.Dst
-		deadlineMS = req.DeadlineMS
-	}
-	s.quantizeJob(j, snap)
-	j.enq = time.Now()
-
-	// Admission: some shard either has room now or the request is shed.
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if !s.admit(j) {
-		j.free()
-		s.shed(w, "queue_full")
-		return
-	}
-	s.mQueueDepth.Set(float64(s.queueLen()))
-
-	// The request's end-to-end deadline: the client's deadline_ms when
-	// given (capped by the server's own limit), RequestTimeout otherwise.
-	wait := s.cfg.RequestTimeout
-	if deadlineMS > 0 {
-		if d := time.Duration(deadlineMS * float64(time.Millisecond)); d < wait {
-			wait = d
-		}
-	}
-	t := getTimer(wait)
-	select {
-	case <-j.done:
-		putTimer(t, false)
-		s.respondJob(w, j)
-		j.free()
-	case <-t.C:
-		putTimer(t, true)
-		s.shed(w, "deadline")
-	case <-s.hardStop:
-		putTimer(t, false)
-		s.shed(w, "drain_deadline")
-	}
-}
-
-// respondJob writes a completed one-row job's answer.
-func (s *Server) respondJob(w http.ResponseWriter, j *job) {
-	switch {
-	case j.err != nil:
-		s.mPanics.Inc()
-		s.cfg.Logf("serve: batch failure: %v", j.err)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal error"})
-	case j.shed:
-		s.shed(w, "queue_wait")
-	default:
-		s.mPredictions.Inc()
-		e := j.ents[0]
-		totalMS := float64(time.Since(j.enq)) / float64(time.Millisecond)
-		s.mLatency.Observe(totalMS)
-		if !e.isGlobal {
-			s.cfg.Metrics.Histogram(e.latKey, s.latBuckets).Observe(totalMS)
-		}
-		buf := getBuf()
-		b := appendPredictResponse(*buf, j.out[0], e.jlabel, j.gen, j.queueMS)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(b)
-		*buf = b[:0]
-		bufPool.Put(buf)
-	}
-}
-
-// PredictSync submits one request through the admission queue and the
-// batchers and waits for the answer — the embedding entry point. Unlike
-// the HTTP path it blocks for queue room (ctx bounds the wait), so
-// callers get backpressure instead of shedding.
-func (s *Server) PredictSync(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
-	snap := s.reg.Load()
-	nf := len(snap.Features)
-	j := newJob(1, nf)
-	if err := snap.Vectorize(req.Features, j.x[:nf]); err != nil {
-		j.free()
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	j.srcs[0], j.dsts[0] = req.Src, req.Dst
-	s.quantizeJob(j, snap)
-	j.enq = time.Now()
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if err := s.admitBlocking(ctx, j); err != nil {
-		j.free()
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		if j.err != nil {
-			err := j.err
-			j.free()
-			return nil, err
-		}
-		if j.shed {
-			j.free()
-			return nil, ErrShed
-		}
-		res := &PredictResponse{Rate: j.out[0], Model: j.ents[0].label, Generation: j.gen, QueueMS: j.queueMS}
-		j.free()
-		return res, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.hardStop:
-		return nil, fmt.Errorf("serve: drain deadline passed")
-	}
-}
-
 // BatchRow is one pre-vectorized row of a batch prediction: X carries
 // the feature values in registry column order (len(Registry.Features)).
 type BatchRow struct {
 	Src, Dst string
 	X        []float64
+}
+
+// PredictSync predicts one request through the admission queue and the
+// batchers — the embedding entry point. It vectorizes req into a pooled
+// one-row job and waits on the same path as PredictBatchSync. Unlike the
+// HTTP path it blocks for queue room (ctx bounds the wait), so callers
+// get backpressure instead of shedding.
+func (s *Server) PredictSync(ctx context.Context, req *PredictRequest) (*PredictResponse, error) {
+	snap := s.reg.Load()
+	j := newJob(1, len(snap.Features))
+	if err := snap.Vectorize(req.Features, j.x); err != nil {
+		j.free()
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	j.srcs[0], j.dsts[0] = req.Src, req.Dst
+	out := make([]PredictResponse, 1)
+	if err := s.runSync(ctx, j, snap, out); err != nil {
+		return nil, err
+	}
+	return &out[0], nil
 }
 
 // PredictBatchSync submits every row as ONE admission unit — one queue
@@ -636,8 +475,7 @@ func (s *Server) PredictBatchSync(ctx context.Context, rows []BatchRow, out []Pr
 	}
 	snap := s.reg.Load()
 	nf := len(snap.Features)
-	n := len(rows)
-	j := newJob(n, nf)
+	j := newJob(len(rows), nf)
 	for i := range rows {
 		if len(rows[i].X) != nf {
 			j.free()
@@ -646,8 +484,16 @@ func (s *Server) PredictBatchSync(ctx context.Context, rows []BatchRow, out []Pr
 		copy(j.x[i*nf:(i+1)*nf], rows[i].X)
 		j.srcs[i], j.dsts[i] = rows[i].Src, rows[i].Dst
 	}
+	s.mBatchRows.Observe(float64(len(rows)))
+	return s.runSync(ctx, j, snap, out)
+}
+
+// runSync is the one blocking wait behind both sync entry points:
+// quantize, admit with backpressure, wait for the batcher, and copy the
+// answers into out (len j.n). The job is recycled unless the wait was
+// abandoned (ctx, drain hard-stop), when the batcher may still write it.
+func (s *Server) runSync(ctx context.Context, j *job, snap *Registry, out []PredictResponse) error {
 	s.quantizeJob(j, snap)
-	s.mBatchRows.Observe(float64(n))
 	j.enq = time.Now()
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -657,25 +503,22 @@ func (s *Server) PredictBatchSync(ctx context.Context, rows []BatchRow, out []Pr
 	}
 	select {
 	case <-j.done:
-		if j.err != nil {
-			err := j.err
-			j.free()
-			return err
-		}
-		if j.shed {
-			j.free()
-			return ErrShed
-		}
-		for i := 0; i < n; i++ {
-			out[i] = PredictResponse{Rate: j.out[i], Model: j.ents[i].label, Generation: j.gen, QueueMS: j.queueMS}
-		}
-		j.free()
-		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.hardStop:
-		return fmt.Errorf("serve: drain deadline passed")
+		return errors.New("serve: drain deadline passed")
 	}
+	defer j.free()
+	switch {
+	case j.err != nil:
+		return j.err
+	case j.shed:
+		return ErrShed
+	}
+	for i := range out {
+		out[i] = PredictResponse{Rate: j.out[i], Model: j.ents[i].label, Generation: j.gen, QueueMS: j.queueMS}
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -18,7 +18,9 @@
 #   BENCH_SHARD_COUNT  -count for the shard-scaling sweep (default: 3)
 #   BENCH_SERVE_COUNT  -count for the serve/code-space stage (default: 3)
 #   BENCH_SERVE_TIME   -benchtime for the serve/code-space stage (default: 1s)
-#   BENCH_SERVE_CPUS   -cpu matrix for the serve stage (default: 1,4,8)
+#   BENCH_SERVE_CPUS   -cpu matrix for the serve stage (default: 1,4,8;
+#                      legs above nproc are capped at nproc, so no leg
+#                      runs oversubscribed)
 #   BENCH_XLARGE       set to 1 to append the paper-scale XLarge
 #                      end-to-end run (>1M transfers; takes minutes)
 set -eu
@@ -33,13 +35,17 @@ if [ -z "$label" ]; then
     fi
 fi
 
-pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|FeatureEngineering|LinregFit|SimulateSmall|Predict\$|PredictAll|MIC|EngineRun}"
+# ^BenchmarkPredict$ is anchored so it matches only BenchmarkPredict,
+# not BenchmarkServePredict (the serve stage below runs that one).
+pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|FeatureEngineering|LinregFit|SimulateSmall|^BenchmarkPredict\$|PredictAll|MIC|EngineRun}"
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-1x}"
 shard_count="${BENCH_SHARD_COUNT:-3}"
 serve_count="${BENCH_SERVE_COUNT:-3}"
 serve_time="${BENCH_SERVE_TIME:-1s}"
-serve_cpus="${BENCH_SERVE_CPUS:-1,4,8}"
+ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
+serve_cpus="$(printf '%s\n' "${BENCH_SERVE_CPUS:-1,4,8}" | tr ',' '\n' |
+    awk -v n="$ncpu" 'NF { v = ($1 > n) ? n : $1; if (!seen[v]++) print v }' | paste -sd, -)"
 
 mkdir -p bench
 txt="bench/BENCH_${label}.txt"
@@ -62,10 +68,11 @@ echo "running shard-scaling sweep (count=${shard_count})..." >&2
 go test -run '^$' -bench 'EngineShardLarge' -benchmem -count "$shard_count" -benchtime 1x . | tee -a "$txt"
 
 # Serve / code-space inference stage: the quantized batch-inference
-# kernel, its float-path twin, admission quantization, and end-to-end
-# daemon throughput, across a -cpu matrix. The batcher count follows
-# GOMAXPROCS, so the matrix shows multi-batcher scaling; the parser
-# below keeps the cpu width as its own field so runs don't merge.
+# kernel, its float-kernel twin, admission quantization, and end-to-end
+# daemon throughput, across a -cpu matrix capped at nproc. The batcher
+# count follows GOMAXPROCS, so the matrix shows multi-batcher scaling;
+# the parser below keeps the cpu width as its own field so runs don't
+# merge.
 echo "running serve/code-space stage (-cpu ${serve_cpus}, count=${serve_count})..." >&2
 go test -run '^$' -bench 'ServeBatchInference|ServePredict|QuantizeRow' \
     -benchmem -count "$serve_count" -benchtime "$serve_time" -cpu "$serve_cpus" . | tee -a "$txt"

@@ -291,24 +291,3 @@ func BenchmarkServePredictBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
 	b.ReportMetric(n/b.Elapsed().Seconds(), "rows/s")
 }
-
-// BenchmarkServePredictFloat is BenchmarkServePredict with code-space
-// inference disabled — the aggregate-throughput A/B partner.
-func BenchmarkServePredictFloat(b *testing.B) {
-	srv, reqs := serveBenchServer(b, func(c *serve.Config) { c.DisableCodeSpace = true })
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			req := reqs[i%len(reqs)]
-			i++
-			if _, err := srv.PredictSync(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
