@@ -307,8 +307,8 @@ func (c *cforest) predictCols(cols [][]uint8, first int, out []float64, base flo
 func (m *Model) CodeSpace() bool { return m.code != nil }
 
 // Quantizer returns a row quantizer over the model's stored cut points,
-// or nil for exact-trained models. The quantizer is the admission-side
-// half of the code path: quantize once, predict many. Built once per
+// or nil for exact-trained models. The quantizer is the input-side half
+// of the code path: quantize once, predict many. Built once per
 // model with the uniform-grid acceleration tables (the model serves for
 // its lifetime, so the table build amortizes to nothing) and shared by
 // every caller — Quantizer is immutable and concurrency-safe.

@@ -308,7 +308,9 @@ func TestPredictBatchSyncValidation(t *testing.T) {
 
 // TestPredictBatchSyncZeroAlloc: the steady-state batch path allocates
 // nothing — the job, its slabs, and the completion slot all come out of
-// pools, and the dense code-space walk runs in place.
+// pools, and the grouped code-space walk reuses the batcher's scratch —
+// whether the rows share one edge model or alternate between the edge
+// model and the global fallback.
 func TestPredictBatchSyncZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
@@ -319,28 +321,38 @@ func TestPredictBatchSyncZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 
 	const n = 64
-	rows := make([]BatchRow, n)
-	for i := range rows {
-		x := make([]float64, 3)
-		x[0], x[1], x[2] = float64(i%7)/7, float64(i%5)/5, float64(i%3)/3
-		rows[i] = BatchRow{Src: "S1", Dst: "D1", X: x}
-	}
-	out := make([]PredictResponse, n)
-	// Warm the pools and the batcher's scratch.
-	for i := 0; i < 8; i++ {
-		if err := s.PredictBatchSync(ctx, rows, out); err != nil {
-			t.Fatal(err)
+	for _, mixed := range []bool{false, true} {
+		rows := make([]BatchRow, n)
+		for i := range rows {
+			x := make([]float64, 3)
+			x[0], x[1], x[2] = float64(i%7)/7, float64(i%5)/5, float64(i%3)/3
+			rows[i] = BatchRow{Src: "S1", Dst: "D1", X: x}
+			if mixed && i%2 == 1 {
+				rows[i].Src, rows[i].Dst = "X", "Y"
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := s.PredictBatchSync(ctx, rows, out); err != nil {
-			t.Fatal(err)
+		out := make([]PredictResponse, n)
+		// Warm the pools and the batcher's scratch.
+		for i := 0; i < 8; i++ {
+			if err := s.PredictBatchSync(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	// The caller-visible path must be allocation-free. Background work
-	// (timer wheel, metrics map growth) can contribute sub-1 noise on a
-	// busy box; anything >=1 alloc/op is a real per-call allocation.
-	if avg >= 1 {
-		t.Errorf("PredictBatchSync allocates %.2f allocs/op, want 0", avg)
+		float0 := s.mFloatRows.Value()
+		avg := testing.AllocsPerRun(50, func() {
+			if err := s.PredictBatchSync(ctx, rows, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The caller-visible path must be allocation-free. Background
+		// work (timer wheel, metrics map growth) can contribute sub-1
+		// noise on a busy box; anything >=1 alloc/op is a real per-call
+		// allocation.
+		if avg >= 1 {
+			t.Errorf("mixed=%v: PredictBatchSync allocates %.2f allocs/op, want 0", mixed, avg)
+		}
+		if got := s.mFloatRows.Value() - float0; got != 0 {
+			t.Errorf("mixed=%v: %d rows took the float forest, want 0", mixed, got)
+		}
 	}
 }

@@ -15,32 +15,24 @@ import (
 // sync.Pool-recycled completion slots: the waiter checks one out, fills
 // the row slabs, and hands it to a per-batcher admission shard; the
 // batcher that drains the shard coalesces jobs up to BatchMax rows, runs
-// ONE inference over the gathered rows, publishes every result, and
-// wakes each job with a single channel send — one wake per job per
-// drained batch, never one per row. The waiter alone recycles the job
-// (an abandoned job — client deadline, drain hard-stop — is left to the
-// GC, because the batcher may still be writing into it).
+// one kernel call per serving model over the gathered rows, publishes
+// every result, and wakes each job with a single channel send — one wake
+// per job per drained batch, never one per row. The waiter alone
+// recycles the job (an abandoned job — client deadline, drain hard-stop
+// — is left to the GC, because the batcher may still be writing into
+// it).
 
 // job is one admitted unit of work.
 type job struct {
-	n  int       // rows
-	x  []float64 // n*nf row-major slab, vectorized against areg's layout
-	cx []uint8   // n*nf bin codes when qm != nil
-
-	// qm is the code-space model cx was quantized against — non-nil only
-	// when every row resolved to that one model at admission (the
-	// all-or-nothing code-admission rule). A reload between admission and
-	// batching invalidates it exactly like it invalidates x (see
-	// refreshJob).
-	qm *gbt.Model
-
+	n          int       // rows
+	x          []float64 // n*nf row-major slab, vectorized against areg's layout
 	srcs, dsts []string
 	areg       *Registry // admission snapshot (layout + generation of x)
 	enq        time.Time
 
 	// Results, written by the batcher before the done send.
 	out      []float64    // per-row rate
-	ents     []*edgeEntry // per-row serving entry (label, latency key)
+	ents     []*edgeEntry // per-row serving entry (model, label, latency key)
 	gen      int64
 	queueMS  float64
 	shed     bool // whole job shed on queue-wait timeout
@@ -67,12 +59,10 @@ func newJob(n, nf int) *job {
 	j := jobPool.Get().(*job)
 	j.n = n
 	j.x = grow(j.x, n*nf)
-	j.cx = grow(j.cx, n*nf)
 	j.out = grow(j.out, n)
 	j.srcs = grow(j.srcs, n)
 	j.dsts = grow(j.dsts, n)
 	j.ents = grow(j.ents, n)
-	j.qm = nil
 	j.shed, j.err, j.notified = false, nil, false
 	return j
 }
@@ -81,10 +71,8 @@ func newJob(n, nf int) *job {
 // enqueued). Registry-retaining fields are cleared so a pooled job does
 // not pin an old generation's models in memory.
 func (j *job) free() {
-	j.areg, j.qm = nil, nil
-	for i := range j.ents {
-		j.ents[i] = nil
-	}
+	j.areg = nil
+	clear(j.ents)
 	jobPool.Put(j)
 }
 
@@ -94,18 +82,15 @@ func (j *job) notify() {
 	j.done <- struct{}{}
 }
 
-// quantizeJob resolves each row's serving model against the admission
-// snapshot and, when every row lands on the same code-space model,
-// quantizes the whole slab column-major in one pass. Mixed-model jobs
-// (and models without a code forest) ride the float path — bit-identical
-// by construction, so this is purely a speed decision.
-func (s *Server) quantizeJob(j *job, snap *Registry) {
+// resolve sets each row's serving entry from the admission snapshot.
+// The batcher groups rows by the resolved model and scores each group
+// with one kernel call, so the entries are looked up once per job, not
+// once per batch.
+func (j *job) resolve(snap *Registry) {
 	j.areg = snap
-	single := true
-	var first *edgeEntry
-	// Memoize the previous row's (src, dst): batch rows overwhelmingly
-	// share an edge, and with interned labels the equality checks are
-	// pointer comparisons — two map hits become two pointer tests.
+	// Memoize the previous row's (src, dst): batch rows often share an
+	// edge, and with interned labels the equality checks are pointer
+	// comparisons — two map hits become two pointer tests.
 	var psrc, pdst string
 	var pent *edgeEntry
 	for r := 0; r < j.n; r++ {
@@ -115,30 +100,36 @@ func (s *Server) quantizeJob(j *job, snap *Registry) {
 			psrc, pdst, pent = j.srcs[r], j.dsts[r], e
 		}
 		j.ents[r] = e
-		if first == nil {
-			first = e
-		} else if e.m != first.m {
-			single = false
-		}
-	}
-	j.qm = nil
-	if single && first.m.CodeSpace() {
-		k := j.n * len(snap.Features)
-		if first.m.QuantizeSlab(j.x[:k], j.cx[:k]) == nil {
-			j.qm = first.m
-		}
 	}
 }
 
+// rowRef locates one live row of a batch in its job.
+type rowRef struct {
+	j *job
+	r int
+}
+
 // shardScratch is one batcher's reusable working storage, so a steady
-// flow of jobs batches with zero per-batch allocation.
+// flow of jobs batches with zero per-batch allocation whatever mix of
+// edges it carries.
 type shardScratch struct {
 	jobs []*job
-	xs   [][]float64 // gathered row views, float path
-	cx   []uint8     // gathered code slab, multi-job dense path
-	out  []float64
-	cm   []int     // refresh column remap
-	rx   []float64 // refresh slab
+
+	// Grouping (see predictGrouped).
+	gidx   map[*gbt.Model]int32 // model -> group number, cleared per batch
+	models []*gbt.Model         // group number -> model, first-seen order
+	gid    []int32              // group of each live row, in gather order
+	start  []int                // group g's rows are refs[start[g]:start[g+1]]
+	next   []int                // counting-sort fill cursor per group
+	refs   []rowRef             // live rows ordered by group
+
+	x   []float64   // gathered feature rows, parallel to refs
+	cx  []uint8     // their bin codes
+	xs  [][]float64 // row views for the float forest
+	out []float64   // results, parallel to refs
+
+	cm []int     // refresh column remap
+	rx []float64 // refresh slab
 }
 
 // batcherLoop drains one admission shard. The first job of a batch is
@@ -147,7 +138,7 @@ type shardScratch struct {
 // jobs and amortize inference, while an idle daemon answers a lone
 // request immediately instead of waiting for company.
 func (s *Server) batcherLoop(shard chan *job) {
-	sc := &shardScratch{jobs: make([]*job, 0, s.cfg.BatchMax)}
+	sc := &shardScratch{jobs: make([]*job, 0, s.cfg.BatchMax), gidx: map[*gbt.Model]int32{}}
 	for {
 		var j *job
 		select {
@@ -196,15 +187,12 @@ func (s *Server) runJobs(sc *shardScratch) {
 	}()
 
 	snap := s.reg.Load()
-	nf := len(snap.Features)
 	now := time.Now()
 	s.mBatches.Inc()
 
 	// Per-job admission bookkeeping: shed the stale, refresh jobs
 	// admitted under an older generation.
 	live := 0
-	liveJobs := 0
-	var lone *job
 	for _, j := range jobs {
 		j.gen = snap.Generation
 		wait := now.Sub(j.enq)
@@ -218,163 +206,115 @@ func (s *Server) runJobs(sc *shardScratch) {
 			s.refreshJob(sc, j, snap)
 		}
 		live += j.n
-		liveJobs++
-		lone = j
 	}
 	s.mBatchSize.Observe(float64(live))
-	if live == 0 {
-		for _, j := range jobs {
-			j.notify()
-		}
-		return
-	}
-
-	// Every live job's rows are resolved on this batch's snapshot — by
-	// quantizeJob at admission when the snapshot is unchanged (the steady
-	// state: just scan the entries it stored), or by refreshJob above
-	// after a reload. Either way j.ents is current; no row needs a second
-	// map lookup here.
-	single := true
-	var first *edgeEntry
-	for _, j := range jobs {
-		if j.shed {
-			continue
-		}
-		for r := 0; r < j.n; r++ {
-			e := j.ents[r]
-			if first == nil {
-				first = e
-			} else if e.m != first.m {
-				single = false
-			}
-		}
-	}
-
-	if single {
-		// Fast path: one model serves every live row. Prefer the dense
-		// code-space walk — in place over a job's own slab when the
-		// batch is one job (the /predict/batch steady state), via a
-		// gathered scratch slab otherwise (coalesced singletons).
-		codes := first.m.CodeSpace()
-		if codes {
-			for _, j := range jobs {
-				if !j.shed && j.qm != first.m {
-					codes = false
-					break
-				}
-			}
-		}
-		var err error
-		switch {
-		case codes && liveJobs == 1:
-			err = first.m.PredictCodesDense(lone.cx[:lone.n*nf], lone.out[:lone.n])
-		case codes:
-			sc.cx = grow(sc.cx, live*nf)
-			sc.out = grow(sc.out, live)
-			off := 0
-			for _, j := range jobs {
-				if j.shed {
-					continue
-				}
-				copy(sc.cx[off*nf:], j.cx[:j.n*nf])
-				off += j.n
-			}
-			err = first.m.PredictCodesDense(sc.cx[:live*nf], sc.out[:live])
-			scatter(jobs, sc.out)
-		default:
-			xs := sc.xs[:0]
-			for _, j := range jobs {
-				if j.shed {
-					continue
-				}
-				for r := 0; r < j.n; r++ {
-					xs = append(xs, j.x[r*nf:(r+1)*nf])
-				}
-			}
-			sc.xs = xs
-			sc.out = grow(sc.out, live)
-			err = first.m.PredictBatch(xs, sc.out[:live])
-			scatter(jobs, sc.out)
-		}
-		if err != nil {
-			for _, j := range jobs {
-				if !j.shed {
-					j.err = err
-				}
-			}
-		}
-		for _, j := range jobs {
-			j.notify()
-		}
-		return
-	}
-
-	// General path: group live rows by resolved model, one batch predict
-	// per group, code-space when the whole group's jobs carry codes cut
-	// for it. Rare (a batch spanning edges with different models), so the
-	// grouping structures may allocate.
-	type rowRef struct {
-		j *job
-		r int
-	}
-	groups := map[*gbt.Model][]rowRef{}
-	for _, j := range jobs {
-		if j.shed {
-			continue
-		}
-		for r := 0; r < j.n; r++ {
-			m := j.ents[r].m
-			groups[m] = append(groups[m], rowRef{j, r})
-		}
-	}
-	for m, refs := range groups {
-		out := make([]float64, len(refs))
-		codes := m.CodeSpace()
-		if codes {
-			for _, rr := range refs {
-				if rr.j.qm != m {
-					codes = false
-					break
-				}
-			}
-		}
-		var err error
-		if codes {
-			cxs := make([][]uint8, len(refs))
-			for k, rr := range refs {
-				cxs[k] = rr.j.cx[rr.r*nf : (rr.r+1)*nf]
-			}
-			err = m.PredictCodes(cxs, out)
-		} else {
-			xs := make([][]float64, len(refs))
-			for k, rr := range refs {
-				xs[k] = rr.j.x[rr.r*nf : (rr.r+1)*nf]
-			}
-			err = m.PredictBatch(xs, out)
-		}
-		for k, rr := range refs {
-			if err != nil {
-				rr.j.err = err
-			} else {
-				rr.j.out[rr.r] = out[k]
-			}
-		}
+	if live > 0 {
+		s.predictGrouped(sc, live, len(snap.Features))
 	}
 	for _, j := range jobs {
 		j.notify()
 	}
 }
 
-// scatter copies gathered results back into each live job's out slab, in
-// the same job order the gather walked.
-func scatter(jobs []*job, out []float64) {
-	off := 0
-	for _, j := range jobs {
+// predictGrouped scores every live row of the batch with one kernel call
+// per serving model and writes each result into its job. A single-edge
+// batch is one group; a batch spanning edges is one group per edge model
+// plus one for the global fallback. Each group's rows are gathered into
+// one contiguous slab, quantized column-major against the model's cuts —
+// a group's rows share a model, so its cut arrays stay hot across them —
+// and walked as one dense code-space block. A group falls back to the
+// float forest when its model has no code forest (exact-trained, or a
+// threshold off the bin-edge grid) or the quantizer refuses a value (NaN
+// or ±Inf); the answers are bit-identical either way, so the choice is
+// only about speed. Rows are counting-sorted into per-group ranges of
+// the scratch arrays, so nothing is allocated once the scratch has grown
+// to the largest batch seen. Each row's rate depends on its own features
+// and model only, so grouping cannot change an answer.
+func (s *Server) predictGrouped(sc *shardScratch, live, nf int) {
+	// Number the groups in first-seen order and tag every live row.
+	// Consecutive rows often share a model, so the map is consulted
+	// only when the model changes.
+	clear(sc.gidx)
+	sc.models = sc.models[:0]
+	sc.gid = grow(sc.gid, live)
+	var pm *gbt.Model
+	var pg int32
+	k := 0
+	for _, j := range sc.jobs {
 		if j.shed {
 			continue
 		}
-		copy(j.out[:j.n], out[off:off+j.n])
-		off += j.n
+		for r := 0; r < j.n; r++ {
+			if m := j.ents[r].m; m != pm {
+				g, ok := sc.gidx[m]
+				if !ok {
+					g = int32(len(sc.models))
+					sc.gidx[m] = g
+					sc.models = append(sc.models, m)
+				}
+				pm, pg = m, g
+			}
+			sc.gid[k] = pg
+			k++
+		}
+	}
+
+	// Counting sort: group g's rows land in refs[start[g]:start[g+1]],
+	// in gather order.
+	ng := len(sc.models)
+	sc.start = grow(sc.start, ng+1)
+	clear(sc.start)
+	for _, g := range sc.gid {
+		sc.start[g+1]++
+	}
+	for g := 0; g < ng; g++ {
+		sc.start[g+1] += sc.start[g]
+	}
+	sc.next = append(sc.next[:0], sc.start[:ng]...)
+	sc.refs = grow(sc.refs, live)
+	k = 0
+	for _, j := range sc.jobs {
+		if j.shed {
+			continue
+		}
+		for r := 0; r < j.n; r++ {
+			g := sc.gid[k]
+			k++
+			sc.refs[sc.next[g]] = rowRef{j, r}
+			sc.next[g]++
+		}
+	}
+
+	// One kernel call per group, then scatter.
+	sc.x = grow(sc.x, live*nf)
+	sc.cx = grow(sc.cx, live*nf)
+	sc.out = grow(sc.out, live)
+	for g, m := range sc.models {
+		lo, hi := sc.start[g], sc.start[g+1]
+		refs, out := sc.refs[lo:hi], sc.out[lo:hi]
+		x, cx := sc.x[lo*nf:hi*nf], sc.cx[lo*nf:hi*nf]
+		for i, rr := range refs {
+			copy(x[i*nf:(i+1)*nf], rr.j.x[rr.r*nf:(rr.r+1)*nf])
+		}
+		var err error
+		if m.CodeSpace() && m.QuantizeSlab(x, cx) == nil {
+			err = m.PredictCodesDense(cx, out)
+			s.mCodeRows.Add(int64(len(refs)))
+		} else {
+			sc.xs = grow(sc.xs, len(refs))
+			for i := range refs {
+				sc.xs[i] = x[i*nf : (i+1)*nf]
+			}
+			err = m.PredictBatch(sc.xs, out)
+			s.mFloatRows.Add(int64(len(refs)))
+		}
+		for i, rr := range refs {
+			if err != nil {
+				rr.j.err = err
+			} else {
+				rr.j.out[rr.r] = out[i]
+			}
+		}
 	}
 }
 
@@ -382,8 +322,8 @@ func scatter(jobs []*job, out []float64) {
 // onto this batch's snapshot: every column of the new layout is remapped
 // by feature name from the old slab (names the new layout does not know
 // drop out, exactly like the lenient re-vectorization the map-based
-// handoff performed), then the rows are re-quantized against the new
-// snapshot's serving models — the code-space twin of the remap.
+// handoff performed), then every row's serving model is resolved again
+// against the new snapshot.
 func (s *Server) refreshJob(sc *shardScratch, j *job, snap *Registry) {
 	old := j.areg
 	onf, nf := len(old.Features), len(snap.Features)
@@ -407,6 +347,5 @@ func (s *Server) refreshJob(sc *shardScratch, j *job, snap *Registry) {
 	}
 	j.x = grow(j.x, j.n*nf)
 	copy(j.x, sc.rx[:j.n*nf])
-	j.cx = grow(j.cx, j.n*nf)
-	s.quantizeJob(j, snap)
+	j.resolve(snap)
 }

@@ -39,22 +39,21 @@ func TestRegistryVersion1FailsClosed(t *testing.T) {
 // TestServeMatchesFloatForest: the float forest is the reference every
 // served rate must reproduce. 300 randomized rows through HTTP /predict,
 // HTTP /predict/batch and PredictSync — the serving-layer differential
-// for the quantized engine, covering edge and global models, batching,
-// and the admission-time quantizer.
+// for the quantized engine, covering edge and global models, batches
+// mixing them, and the batcher's per-model quantizer.
 func TestServeMatchesFloatForest(t *testing.T) {
 	s, _ := newTestServer(t, 1, nil)
 	s.Start()
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	checkMatchesFloat(t, s, ts.URL, 300)
+	checkMatchesFloat(t, s, ts.URL, 300, true)
 }
 
 // TestServeFloatFallback: a registry of exact-trained models has no code
-// forest, so every batch runs through runJobs' float branches — the
-// single-model walk for lone /predict rows and the grouped walk for a
-// batch mixing edge and global rows. Answers must still equal
-// Model.Predict bit for bit on both routes.
+// forest, so every row — lone /predict rows and batches mixing edge and
+// global rows alike — takes predictGrouped's float branch. Answers must
+// still equal Model.Predict bit for bit on both routes.
 func TestServeFloatFallback(t *testing.T) {
 	s, path := newTestServer(t, 1, nil)
 	writeRegistryFile(t, path, testRegistryBins(t, 1, 0))
@@ -65,16 +64,29 @@ func TestServeFloatFallback(t *testing.T) {
 	defer s.Drain()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	checkMatchesFloat(t, s, ts.URL, 60)
+	checkMatchesFloat(t, s, ts.URL, 60, false)
 }
 
 // checkMatchesFloat sends n randomized rows — off the training surface
 // on purpose, every third on the global fallback — through PredictSync,
 // HTTP /predict and HTTP /predict/batch (chunks of up to 100 rows mixing
 // edge and global), and requires every answer to carry the model label
-// and the bit-exact rate of Registry.Lookup + Model.Predict.
-func checkMatchesFloat(t *testing.T, s *Server, url string, n int) {
+// and the bit-exact rate of Registry.Lookup + Model.Predict. All 3n rows
+// must be scored by one traversal: the code forest when coded is set —
+// mixed-edge batches included — the float forest otherwise.
+func checkMatchesFloat(t *testing.T, s *Server, url string, n int, coded bool) {
 	t.Helper()
+	code0, float0 := s.mCodeRows.Value(), s.mFloatRows.Value()
+	defer func() {
+		dc, df := s.mCodeRows.Value()-code0, s.mFloatRows.Value()-float0
+		wantCode, wantFloat := int64(3*n), int64(0)
+		if !coded {
+			wantCode, wantFloat = wantFloat, wantCode
+		}
+		if dc != wantCode || df != wantFloat {
+			t.Errorf("kernel rows: %d code, %d float; want %d code, %d float", dc, df, wantCode, wantFloat)
+		}
+	}()
 	reg := s.Registry()
 	rng := rand.New(rand.NewSource(99))
 	reqs := make([]*PredictRequest, n)
@@ -132,10 +144,45 @@ func checkMatchesFloat(t *testing.T, s *Server, url string, n int) {
 	}
 }
 
+// TestServeNonFiniteRowsFallBackToFloat: the quantizer refuses NaN and
+// ±Inf, so a model's group holding one rides the float forest while the
+// other model's rows in the same batch still walk code space, and every
+// rate equals Model.Predict bit for bit.
+func TestServeNonFiniteRowsFallBackToFloat(t *testing.T) {
+	s, _ := newTestServer(t, 1, nil)
+	s.Start()
+	defer s.Drain()
+	rows := []BatchRow{
+		{Src: "S1", Dst: "D1", X: []float64{0.5, 0.2, 0.9}},
+		{Src: "X", Dst: "Y", X: []float64{math.NaN(), 0.2, 0.9}},
+		{Src: "S1", Dst: "D1", X: []float64{0.1, 0.7, 0.3}},
+		{Src: "X", Dst: "Y", X: []float64{0.4, math.Inf(1), 0.1}},
+		{Src: "X", Dst: "Y", X: []float64{0.3, 0.3, math.Inf(-1)}},
+		{Src: "S1", Dst: "D1", X: []float64{0.9, 0.9, 0.4}},
+	}
+	out := make([]PredictResponse, len(rows))
+	if err := s.PredictBatchSync(context.Background(), rows, out); err != nil {
+		t.Fatal(err)
+	}
+	reg := s.Registry()
+	for i, row := range rows {
+		m, label := reg.Lookup(row.Src, row.Dst)
+		want, err := m.Predict(row.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(out[i].Rate) != math.Float64bits(want) || out[i].Model != label {
+			t.Errorf("row %d: got %v (%s), float forest %v (%s)", i, out[i].Rate, out[i].Model, want, label)
+		}
+	}
+	if dc, df := s.mCodeRows.Value(), s.mFloatRows.Value(); dc != 3 || df != 3 {
+		t.Errorf("kernel rows: %d code, %d float; want 3 and 3", dc, df)
+	}
+}
+
 // TestServeCodeSpaceReloadRequantizes: after a reload the batcher must
-// re-quantize admitted requests against the new snapshot's cuts (the
-// code-space twin of revectorize), so answers stay bit-identical to the
-// new model's float path.
+// quantize against the new snapshot's models and cuts, so answers stay
+// bit-identical to the new model's float path.
 func TestServeCodeSpaceReloadRequantizes(t *testing.T) {
 	s, path := newTestServer(t, 1, nil)
 	s.Start()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,7 +14,7 @@ import (
 const MaxBatchBody = 8 << 20
 
 // route is everything that differs between the two HTTP front doors.
-// The rest — body read, record decode, quantize, admission, wait,
+// The rest — body read, record decode, edge resolution, admission, wait,
 // respond and shed — is one job path, so /predict answers a one-row job
 // exactly as /predict/batch answers an n-row one.
 type route struct {
@@ -59,7 +60,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, rt *route) {
 		s.badRequest(w, err)
 		return
 	}
-	s.quantizeJob(j, snap)
+	j.resolve(snap)
 	if rt.ndjson {
 		s.mBatchRows.Observe(float64(j.n))
 	}
@@ -233,10 +234,8 @@ func (s *Server) badRequest(w http.ResponseWriter, err error) {
 // lineEnd returns the index of the newline terminating the line starting
 // at p (len(b) for the final unterminated line).
 func lineEnd(b []byte, p int) int {
-	for q := p; q < len(b); q++ {
-		if b[q] == '\n' {
-			return q
-		}
+	if q := bytes.IndexByte(b[p:], '\n'); q >= 0 {
+		return p + q
 	}
 	return len(b)
 }

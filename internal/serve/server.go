@@ -118,6 +118,7 @@ type Server struct {
 	// Instruments (all on cfg.Metrics).
 	mPredictions, mBadRequests, mBatches *obs.Counter
 	mPanics, mReloads, mReloadFailures   *obs.Counter
+	mCodeRows, mFloatRows                *obs.Counter // rows scored per traversal
 	mGeneration, mQueueDepth             *obs.Gauge
 	mBatchSize, mQueueWait, mLatency     *obs.Histogram
 	mBatchRows                           *obs.Histogram
@@ -158,6 +159,8 @@ func New(cfg Config) (*Server, error) {
 	s.mReloads = reg.Counter("serve.reloads")
 	s.mReloadFailures = reg.Counter("serve.reload_failures")
 	s.mBatches = reg.Counter("serve.batches")
+	s.mCodeRows = reg.Counter(`serve.kernel_rows{path="code"}`)
+	s.mFloatRows = reg.Counter(`serve.kernel_rows{path="float"}`)
 	s.mGeneration = reg.Gauge("serve.generation")
 	s.mQueueDepth = reg.Gauge("serve.queue_depth")
 	s.mBatchSize = reg.Histogram("serve.batch_size", obs.ExpBuckets(1, 2, 10))
@@ -489,11 +492,11 @@ func (s *Server) PredictBatchSync(ctx context.Context, rows []BatchRow, out []Pr
 }
 
 // runSync is the one blocking wait behind both sync entry points:
-// quantize, admit with backpressure, wait for the batcher, and copy the
+// resolve, admit with backpressure, wait for the batcher, and copy the
 // answers into out (len j.n). The job is recycled unless the wait was
 // abandoned (ctx, drain hard-stop), when the batcher may still write it.
 func (s *Server) runSync(ctx context.Context, j *job, snap *Registry, out []PredictResponse) error {
-	s.quantizeJob(j, snap)
+	j.resolve(snap)
 	j.enq = time.Now()
 	s.inflight.Add(1)
 	defer s.inflight.Done()

@@ -58,7 +58,7 @@ func TestChaosSoak(t *testing.T) {
 	// Every 200 must carry a rate BIT-identical to what some promoted
 	// generation's edge model predicts for goodBody's features — the
 	// serve-soak half of the code-space differential: requests race
-	// reloads, get re-quantized across generations, and still must land
+	// reloads, get re-resolved across generations, and still must land
 	// exactly on a float-path prediction. validRates grows as generations
 	// are promoted (a racing request may be answered by old or new).
 	goodX := []float64{0.5, 0.2, 0.9}

@@ -68,8 +68,9 @@ echo "running shard-scaling sweep (count=${shard_count})..." >&2
 go test -run '^$' -bench 'EngineShardLarge' -benchmem -count "$shard_count" -benchtime 1x . | tee -a "$txt"
 
 # Serve / code-space inference stage: the quantized batch-inference
-# kernel, its float-kernel twin, admission quantization, and end-to-end
-# daemon throughput, across a -cpu matrix capped at nproc. The batcher
+# kernel, its float-kernel twin, row quantization, and end-to-end daemon
+# throughput (single-edge and mixed-edge batches), across a -cpu matrix
+# capped at nproc. The batcher
 # count follows GOMAXPROCS, so the matrix shows multi-batcher scaling;
 # the parser below keeps the cpu width as its own field so runs don't
 # merge.
@@ -85,9 +86,13 @@ awk '/^BenchmarkServePredict(-[0-9]+)? / {
 }
 /^BenchmarkServePredictBatch(-[0-9]+)? / {
     for (i = 2; i <= NF; i++) if ($i == "rows/s" && $(i-1)+0 > bbest) bbest = $(i-1)+0
+}
+/^BenchmarkServePredictBatchMixed(-[0-9]+)? / {
+    for (i = 2; i <= NF; i++) if ($i == "rows/s" && $(i-1)+0 > mbest) mbest = $(i-1)+0
 } END {
     if (best)  printf("aggregate serving throughput: %.0f rows/s (best ServePredict across -cpu matrix)\n", best)
     if (bbest) printf("aggregate batch throughput: %.0f rows/s (best ServePredictBatch across -cpu matrix)\n", bbest)
+    if (mbest) printf("aggregate mixed-edge batch throughput: %.0f rows/s (best ServePredictBatchMixed across -cpu matrix)\n", mbest)
 }' "$txt" | tee -a "$txt"
 
 # Bounds-check-elimination audit for the inference hot path, recorded

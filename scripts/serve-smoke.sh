@@ -6,7 +6,7 @@
 #   /healthz → /readyz → /predict (edge + global + bad request)
 #   → /predict/batch (NDJSON rows, rate parity with the singleton path,
 #     whole-batch 400 on a bad line, whole-batch 429 + Retry-After under
-#     overload, batch metrics on /metrics)
+#     overload, batch metrics on /metrics, every row scored in code space)
 #   → corrupt-registry reload is rejected, last good registry keeps serving
 #   → SIGHUP hot reload promotes a new generation
 #   → SIGTERM drains gracefully within the deadline, exit 0
@@ -105,6 +105,13 @@ step "malformed batch rejected whole with 400 and line number"
 curl -s "$url/metrics" | grep -q '^serve_batch_rows_bucket' || fail "serve_batch_rows histogram not exported"
 curl -s "$url/metrics" | grep -q '^serve_batch_requests' || fail "serve_batch_requests counter not exported"
 step "batch metrics exported (serve_batch_rows, serve_batch_requests)"
+
+# The registry is histogram-trained and every row so far was finite, so
+# every scored row — edge and global, singleton and batch — walked the
+# code-space forest; none fell back to the float forest.
+curl -s "$url/metrics" | grep -q '^serve_kernel_rows{path="code"} [1-9]' || fail "no rows scored in code space"
+curl -s "$url/metrics" | grep -q '^serve_kernel_rows{path="float"} 0$' || fail "rows fell back to the float forest"
+step "every row scored in code space (serve_kernel_rows)"
 
 # Shed under overload, deterministically: a daemon with a 1ns queue
 # timeout sheds every admitted batch on queue-wait — the whole batch is

@@ -5,6 +5,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,8 +112,8 @@ func serveBenchServer(b *testing.B, mod func(*serve.Config)) (*serve.Server, []*
 const serveBenchBatchRows = 64
 
 // BenchmarkServeBatchInference measures the exact inference call the
-// daemon's batcher issues in steady state — PredictCodes on a coalesced
-// batch of admission-quantized rows through the registry's edge model —
+// daemon's batcher issues in steady state — a code-space walk over a
+// coalesced batch of quantized rows through the registry's edge model —
 // reported per row and in rows/sec. This is the quantized engine's
 // headline number; BenchmarkServeBatchInferenceFloat is the float
 // traversal of the same model on the same rows, and the committed
@@ -197,10 +199,10 @@ func BenchmarkServeBatchInferenceFloat(b *testing.B) {
 	b.ReportMetric(rows/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkQuantizeRow measures the admission-side half of the code
-// path: one request row quantized to uint8 codes against the model's cut
-// points. This cost is paid once per request, then every tree level of
-// every tree reads codes instead of floats.
+// BenchmarkQuantizeRow measures the input-side half of the code path:
+// one request row quantized to uint8 codes against the model's cut
+// points. This cost is paid once per row, then every tree level of every
+// tree reads codes instead of floats.
 func BenchmarkQuantizeRow(b *testing.B) {
 	srv, reqs := serveBenchServer(b, nil)
 	reg := srv.Registry()
@@ -220,8 +222,8 @@ func BenchmarkQuantizeRow(b *testing.B) {
 }
 
 // BenchmarkServePredict measures per-prediction throughput through the
-// daemon's full serving path — admission (vectorize + quantize), the
-// bounded queue, batcher coalescing, and grouped code-space inference —
+// daemon's full serving path — admission (vectorize + edge resolution),
+// the bounded queue, batcher coalescing, and grouped code-space inference —
 // under concurrent clients, so batches actually fill. ns/op is the
 // end-to-end cost of one served prediction; rows/s is the aggregate
 // serving throughput, the number the ROADMAP's millions-per-second goal
@@ -251,16 +253,32 @@ func BenchmarkServePredict(b *testing.B) {
 }
 
 // BenchmarkServePredictBatch measures the batch front door end to end:
-// 256 pre-vectorized rows per PredictBatchSync call — one admission
-// unit, one queue slot, one batcher wake, one dense in-place code-space
-// walk — which is what POST /predict/batch does per request minus HTTP
+// 256 pre-vectorized rows of one edge per PredictBatchSync call — one
+// admission unit, one queue slot, one batcher wake, one quantize pass
+// and one dense code-space walk — which is what POST /predict/batch does
+// per request minus HTTP
 // framing. ns/op is the cost of one 256-row batch; rows/s is the
 // headline serving throughput the front-door rework is scored against.
 // Steady state is allocation-free: job, slabs, and completion slot are
 // all pooled.
-func BenchmarkServePredictBatch(b *testing.B) {
+func BenchmarkServePredictBatch(b *testing.B) { benchServePredictBatch(b, false) }
+
+// BenchmarkServePredictBatchMixed is BenchmarkServePredictBatch with the
+// 256 rows spread round-robin over every edge model in the registry and,
+// one row in ten, an edge without a model of its own (the global
+// fallback answers) — the request mix of a scheduler asking about many
+// transfers at once, and of the wanbench serve-batch workload. Each batch
+// is one grouped code-space walk per serving model, still allocation-free.
+func BenchmarkServePredictBatchMixed(b *testing.B) { benchServePredictBatch(b, true) }
+
+func benchServePredictBatch(b *testing.B, mixed bool) {
 	srv, reqs := serveBenchServer(b, nil)
 	reg := srv.Registry()
+	edges := make([]string, 0, len(reg.Edges))
+	for k := range reg.Edges {
+		edges = append(edges, k)
+	}
+	sort.Strings(edges)
 	const batch = 256
 	rows := make([]serve.BatchRow, batch)
 	for i := range rows {
@@ -269,7 +287,14 @@ func BenchmarkServePredictBatch(b *testing.B) {
 		if err := reg.Vectorize(req.Features, x); err != nil {
 			b.Fatal(err)
 		}
-		rows[i] = serve.BatchRow{Src: req.Src, Dst: req.Dst, X: x}
+		src, dst := req.Src, req.Dst
+		if mixed {
+			src, dst, _ = strings.Cut(edges[i%len(edges)], "->")
+			if i%10 == 9 {
+				src, dst = "unmodelled-src", "unmodelled-dst"
+			}
+		}
+		rows[i] = serve.BatchRow{Src: src, Dst: dst, X: x}
 	}
 	out := make([]serve.PredictResponse, batch)
 	ctx := context.Background()
