@@ -203,6 +203,23 @@ func BenchmarkFig11Headline(b *testing.B) {
 	}
 }
 
+// BenchmarkFig11HeadlineBinned is the Fig. 11 path `wanperf models`
+// actually runs: every study edge's models, trained with 256-bin
+// histogram split search (the CLI default).
+func BenchmarkFig11HeadlineBinned(b *testing.B) {
+	p, edges := benchPipeline(b)
+	bp := *p
+	bp.GBTBins = 256
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := bp.EvaluateEdges(edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		logOncePerBench(b, core.RenderFig11(results))
+	}
+}
+
 // BenchmarkGlobalModel regenerates the §5.4 single-model-for-all-edges
 // comparison.
 func BenchmarkGlobalModel(b *testing.B) {

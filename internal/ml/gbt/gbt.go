@@ -33,16 +33,16 @@
 //
 // A third path, selected with Params.Bins > 0, quantizes features into at
 // most 256 bins and searches splits over per-bin gradient histograms (see
-// hist.go): deterministic, much faster, and within tolerance of — but not
-// bit-identical to — the exact search. Batch inference runs over a flat
-// structure-of-arrays forest with pool-parallel row batches (forest.go).
+// hist.go), visiting only the bins a node's rows occupy: deterministic,
+// much faster, and within tolerance of — but not bit-identical to — the
+// exact search. Batch inference runs over a flat structure-of-arrays
+// forest with pool-parallel row batches (forest.go).
 package gbt
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/ml/dataset"
@@ -247,6 +247,7 @@ func train(d *dataset.Dataset, p Params, reference bool) (*Model, error) {
 	if p.SubsampleCols >= 1 {
 		allCols = identity(d.NumFeatures())
 	}
+	var rowSample, colSample subsampler
 
 	// Telemetry instruments; all nil (no-op) when p.Metrics is unset, so
 	// the only cost the uninstrumented path pays is the measure branch.
@@ -263,11 +264,11 @@ func train(d *dataset.Dataset, p Params, reference bool) (*Model, error) {
 		}
 		rows := allRows
 		if rows == nil {
-			rows = sampleRows(n, p.SubsampleRows, rng)
+			rows = rowSample.draw(n, p.SubsampleRows, rng)
 		}
 		cols := allCols
 		if cols == nil {
-			cols = sampleCols(d.NumFeatures(), p.SubsampleCols, rng)
+			cols = colSample.draw(d.NumFeatures(), p.SubsampleCols, rng)
 		}
 		var t0 time.Time
 		if measure {
@@ -298,30 +299,48 @@ func identity(n int) []int {
 	return out
 }
 
-// sampleRows draws a sorted subset of row indices; callers handle the
-// frac >= 1 identity case (no RNG draw) themselves.
-func sampleRows(n int, frac float64, rng *rand.Rand) []int {
+// subsampler draws per-tree row or feature subsets into reused buffers.
+// It makes exactly the Intn(i+1) draws rand.Perm makes, so a seed
+// selects the set rand.Perm(n)[:k] would; the set is emitted in ascending
+// order through the membership marker, which also tells the caller which
+// rows a tree did not see. Callers handle the frac >= 1 identity case
+// (no RNG draw) themselves.
+type subsampler struct {
+	perm []int
+	in   []bool // in[i]: i is in the most recent draw
+	out  []int
+}
+
+// draw returns a sorted subset of 0..n-1 of size max(1, ⌊frac·n⌋). The
+// slice is reused by the next draw.
+func (s *subsampler) draw(n int, frac float64, rng *rand.Rand) []int {
 	k := int(frac * float64(n))
 	if k < 1 {
 		k = 1
 	}
-	perm := rng.Perm(n)
-	rows := append([]int(nil), perm[:k]...)
-	sort.Ints(rows)
-	return rows
-}
-
-// sampleCols draws a sorted subset of feature indices; callers handle the
-// frac >= 1 identity case (no RNG draw) themselves.
-func sampleCols(p int, frac float64, rng *rand.Rand) []int {
-	k := int(frac * float64(p))
-	if k < 1 {
-		k = 1
+	if len(s.perm) != n {
+		s.perm = make([]int, n)
+		s.in = make([]bool, n)
+		s.out = make([]int, 0, n)
 	}
-	perm := rng.Perm(p)
-	cols := append([]int(nil), perm[:k]...)
-	sort.Ints(cols)
-	return cols
+	perm := s.perm
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	clear(s.in)
+	for _, i := range perm[:k] {
+		s.in[i] = true
+	}
+	out := s.out[:0]
+	for i, ok := range s.in {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	s.out = out
+	return out
 }
 
 // NumTrees returns the number of trees in the ensemble.

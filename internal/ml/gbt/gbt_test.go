@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/ml/dataset"
@@ -258,5 +260,38 @@ func TestNumTrees(t *testing.T) {
 	m, _ := Train(d, p)
 	if m.NumTrees() != 37 {
 		t.Errorf("NumTrees = %d, want 37", m.NumTrees())
+	}
+}
+
+// TestSubsamplerMatchesPerm pins the subsampler to the draw it replaces:
+// the sorted first k entries of rand.Perm on the same RNG stream, with
+// the stream left in the same state after every draw.
+func TestSubsamplerMatchesPerm(t *testing.T) {
+	var s subsampler
+	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		n    int
+		frac float64
+	}{{450, 0.9}, {450, 0.9}, {450, 0.5}, {14, 0.7}, {3, 0.1}, {450, 0.9}} {
+		rows := s.draw(c.n, c.frac, got)
+		k := int(c.frac * float64(c.n))
+		if k < 1 {
+			k = 1
+		}
+		ref := want.Perm(c.n)[:k]
+		sort.Ints(ref)
+		if !reflect.DeepEqual(rows, ref) {
+			t.Fatalf("n=%d frac=%g: draw %v, want %v", c.n, c.frac, rows, ref)
+		}
+		member := make([]bool, c.n)
+		for _, i := range ref {
+			member[i] = true
+		}
+		if !reflect.DeepEqual(s.in, member) {
+			t.Fatalf("n=%d frac=%g: membership marker disagrees with the draw", c.n, c.frac)
+		}
+	}
+	if got.Int63() != want.Int63() {
+		t.Error("subsampler left the RNG stream out of step with rand.Perm")
 	}
 }

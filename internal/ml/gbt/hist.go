@@ -2,6 +2,7 @@ package gbt
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -17,8 +18,13 @@ import (
 // gradient/hessian histogram per feature per node and searches splits over
 // bin boundaries instead of sorted rows. Three properties make it fast:
 //
-//   - split search per node costs O(features · bins), independent of the
-//     node's row count;
+//   - split search per node visits only the bins the node's rows occupy:
+//     each histogram carries a per-feature occupancy bitmap, and a bin
+//     whose bit is clear holds exactly (+0, +0). Skipping such a bin
+//     cannot move the argmax — its boundary's gain equals the previous
+//     boundary's, which the strictly-greater rule never picks, or has an
+//     empty left child, which MinChildWeight > 0 rejects — so the search
+//     costs O(occupied bins), at most O(features · bins) (see histBuf);
 //   - only the smaller child of a split ever has its histogram built by
 //     scanning rows — the larger child's is the parent's minus the smaller
 //     child's, bin by bin (the subtraction trick), so each level of a tree
@@ -113,8 +119,9 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 		cuts:   bd.Cuts,
 	}
 	m.buildQuantizer()
+	// The squared-loss hessian is 1 for every row, so the histogram path
+	// never materializes it: hessian sums are row counts (see buildHist).
 	grad := make([]float64, n)
-	hess := make([]float64, n)
 
 	hb := newHistBuilder(bd, codes, p)
 
@@ -125,6 +132,7 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 	if p.SubsampleCols >= 1 {
 		allCols = identity(bd.NumFeatures())
 	}
+	var rowSample, colSample subsampler
 
 	measure := p.Metrics != nil
 	treesBuilt := p.Metrics.Counter("gbt.trees_built")
@@ -142,30 +150,35 @@ func trainHistFrom(bd *dataset.Binned, codes [][]uint8, y []float64, p Params, p
 	for round := 0; round < p.Rounds; round++ {
 		for i := range grad {
 			grad[i] = pred[i] - y[i] // squared loss gradient
-			hess[i] = 1
 		}
 		rows := allRows
 		if rows == nil {
-			rows = sampleRows(n, p.SubsampleRows, rng)
+			rows = rowSample.draw(n, p.SubsampleRows, rng)
 		}
 		cols := allCols
 		if cols == nil {
-			cols = sampleCols(bd.NumFeatures(), p.SubsampleCols, rng)
+			cols = colSample.draw(bd.NumFeatures(), p.SubsampleCols, rng)
 		}
 		var t0 time.Time
 		if measure {
 			t0 = time.Now()
 		}
-		t := hb.build(rows, cols, grad, hess)
+		// build adds each leaf's weight to the predictions of the sampled
+		// rows the partition routed there.
+		t := hb.build(rows, cols, grad, pred)
 		if measure {
 			treeMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			treesBuilt.Inc()
 		}
 		m.trees = append(m.trees, t)
-		// Out-of-sample rows need predictions too, so the update walks
-		// every row — in code space, which needs no raw feature matrix.
-		for i := 0; i < n; i++ {
-			pred[i] += hb.predictCodes(t.nodes, i)
+		// Out-of-sample rows need predictions too; they walk the tree in
+		// code space, which needs no raw feature matrix.
+		if allRows == nil {
+			for i, in := range rowSample.in {
+				if !in {
+					pred[i] += hb.predictCodes(t.nodes, i)
+				}
+			}
 		}
 	}
 	if measure {
@@ -188,9 +201,9 @@ func binsOf(bd *dataset.Binned) int {
 }
 
 // histBuilder holds the per-training-run state of histogram tree growth.
-// Histograms are interleaved (g, h) pairs in one flat buffer covering
-// every feature's bins at per-feature offsets; buffers are pooled, and at
-// most depth+1 are ever live (root plus one small child per level).
+// Histograms are pooled histBufs covering every feature's bins at
+// per-feature offsets; at most depth+1 are ever live (root plus one small
+// child per level).
 type histBuilder struct {
 	codes   [][]uint8 // column-major bin codes, dense positions 0..n-1
 	cuts    [][]float64
@@ -202,13 +215,31 @@ type histBuilder struct {
 	p       Params
 	n       int
 
-	rows     []int32     // working row array, partitioned in place per node
-	scratch  []int32     // stable-partition spill for the right child
-	histPool [][]float64 // free histogram buffers, each 2·histLen floats
-	splitBin []uint8     // per emitted node: the split's bin (training only)
+	rows     []int32    // working row array, partitioned in place per node
+	scratch  []int32    // stable-partition spill for the right child
+	histPool []*histBuf // free histograms, all-zero with clear bitmaps
+	w        flatWriter // the tree being grown; its nodes are copied out
+	splitBin []uint8    // per emitted node: the split's bin (training only)
+	pred     []float64  // per-row predictions, advanced by each leaf
 
 	measure bool
 	splitNS int64
+}
+
+// occWords is the number of occupancy words per feature: codes are uint8,
+// so a feature has at most 256 bins.
+const occWords = 4
+
+// histBuf is one node's histogram: interleaved (gradient, hessian) pairs
+// for every feature's bins, plus a per-feature occupancy bitmap. The
+// invariant every operation keeps is that a bin whose bit is clear holds
+// exactly (+0, +0). A set bit promises nothing — the bin may have emptied
+// to a zero hessian and a gradient rounding residual — so split search
+// and subtraction walk set bits only and cost O(occupied bins), which for
+// small nodes is far below O(features · bins).
+type histBuf struct {
+	v   []float64 // 2·histLen: (g, h) of bin b of feature f at 2·(offsets[f]+b)
+	occ []uint64  // occWords per feature: bit b set ⇒ bin b may be non-zero
 }
 
 func newHistBuilder(bd *dataset.Binned, codes [][]uint8, p Params) *histBuilder {
@@ -231,55 +262,76 @@ func newHistBuilder(bd *dataset.Binned, codes [][]uint8, p Params) *histBuilder 
 	}
 	hb.rows = make([]int32, hb.n)
 	hb.scratch = make([]int32, 0, hb.n)
+	// A depth-d tree has at most 2^(d+1)-1 nodes; beyond depth 16 let
+	// the writer grow instead of reserving an absurd bound.
+	maxNodes := 1<<(min(p.MaxDepth, 16)+1) - 1
+	hb.w.nodes = make([]node, 0, maxNodes)
+	hb.splitBin = make([]uint8, 0, maxNodes)
 	return hb
 }
 
-func (hb *histBuilder) getHist() []float64 {
+func (hb *histBuilder) getHist() *histBuf {
 	if k := len(hb.histPool); k > 0 {
 		h := hb.histPool[k-1]
 		hb.histPool = hb.histPool[:k-1]
 		return h
 	}
-	return make([]float64, 2*hb.histLen)
+	return &histBuf{
+		v:   make([]float64, 2*hb.histLen),
+		occ: make([]uint64, occWords*len(hb.nbins)),
+	}
 }
 
-func (hb *histBuilder) putHist(h []float64) { hb.histPool = append(hb.histPool, h) }
+// putHist restores h to all zeros and returns it to the pool. Clearing
+// the whole buffer measured no slower than visiting only its occupied
+// bins on the study edges, and is the simpler of the two.
+func (hb *histBuilder) putHist(h *histBuf) {
+	clear(h.v)
+	clear(h.occ)
+	hb.histPool = append(hb.histPool, h)
+}
 
 // build grows one tree on the given row subset using only the given
-// columns. rows come in ascending; the in-place partitions are stable, so
-// every node's rows stay ascending and histogram accumulation order is a
-// deterministic function of the split structure alone.
-func (hb *histBuilder) build(rows, cols []int, grad, hess []float64) tree {
-	w := &flatWriter{}
+// columns, adding each leaf's weight to pred for the rows it holds. rows
+// come in ascending; the in-place partitions are stable, so every node's
+// rows stay ascending and histogram accumulation order is a deterministic
+// function of the split structure alone.
+func (hb *histBuilder) build(rows, cols []int, grad, pred []float64) tree {
+	hb.w.nodes = hb.w.nodes[:0]
 	hb.splitBin = hb.splitBin[:0]
+	hb.pred = pred
 	work := hb.rows[:0]
 	for _, i := range rows {
 		work = append(work, int32(i))
 	}
 	root := hb.getHist()
-	hb.buildHist(work, cols, root, grad, hess)
-	hb.grow(w, work, cols, root, grad, hess, 0)
+	hb.buildHist(work, cols, root, grad)
+	hb.grow(work, cols, root, grad, 0)
 	hb.putHist(root)
-	return tree{nodes: w.nodes}
+	return tree{nodes: append([]node(nil), hb.w.nodes...)}
 }
 
-// leaf emits a leaf keeping splitBin aligned with the writer's node array.
-func (hb *histBuilder) leaf(w *flatWriter, gSum, hSum float64) int32 {
-	idx := w.leaf(-gSum / (hSum + hb.p.Lambda) * hb.p.LearningRate)
+// leaf emits a leaf keeping splitBin aligned with the writer's node
+// array, and advances the predictions of the rows it holds.
+func (hb *histBuilder) leaf(rows []int32, gSum, hSum float64) int32 {
+	weight := -gSum / (hSum + hb.p.Lambda) * hb.p.LearningRate
+	for _, i := range rows {
+		hb.pred[i] += weight
+	}
 	hb.splitBin = append(hb.splitBin, 0)
-	return idx
+	return hb.w.leaf(weight)
 }
 
 // grow emits the subtree over rows (whose histogram is hist, owned by the
 // caller) and returns its pre-order node index.
-func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []float64, grad, hess []float64, depth int) int32 {
-	var gSum, hSum float64
+func (hb *histBuilder) grow(rows []int32, cols []int, hist *histBuf, grad []float64, depth int) int32 {
+	var gSum float64
 	for _, i := range rows {
 		gSum += grad[i]
-		hSum += hess[i]
 	}
+	hSum := float64(len(rows)) // unit hessians: the sum is the row count
 	if depth >= hb.p.MaxDepth || len(rows) < 2 {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(rows, gSum, hSum)
 	}
 
 	parentScore := gSum * gSum / (hSum + hb.p.Lambda)
@@ -300,9 +352,9 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		hb.splitNS += int64(time.Since(t0))
 	}
 	if bestFeat < 0 {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(rows, gSum, hSum)
 	}
-	thresh, splitBin := hb.threshold(hist, bestFeat, bestBin)
+	thresh, splitBin := hb.threshold(hist.v, bestFeat, bestBin)
 
 	// Stable in-place partition on the winning bin boundary: left rows
 	// compact to the front, right rows spill to scratch and copy back.
@@ -319,7 +371,7 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		}
 	}
 	if nl == 0 || nl == len(rows) {
-		return hb.leaf(w, gSum, hSum)
+		return hb.leaf(rows, gSum, hSum)
 	}
 	copy(rows[nl:], sc)
 	left, right := rows[:nl], rows[nl:]
@@ -332,7 +384,7 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		small = right
 	}
 	smallHist := hb.getHist()
-	hb.buildHist(small, cols, smallHist, grad, hess)
+	hb.buildHist(small, cols, smallHist, grad)
 	hb.subtract(hist, smallHist, cols)
 
 	leftHist, rightHist := smallHist, hist
@@ -340,12 +392,12 @@ func (hb *histBuilder) grow(w *flatWriter, rows []int32, cols []int, hist []floa
 		leftHist, rightHist = hist, smallHist
 	}
 
-	idx := w.reserve()
+	idx := hb.w.reserve()
 	hb.splitBin = append(hb.splitBin, uint8(splitBin))
-	leftIdx := hb.grow(w, left, cols, leftHist, grad, hess, depth+1)
-	rightIdx := hb.grow(w, right, cols, rightHist, grad, hess, depth+1)
+	leftIdx := hb.grow(left, cols, leftHist, grad, depth+1)
+	rightIdx := hb.grow(right, cols, rightHist, grad, depth+1)
 	hb.putHist(smallHist)
-	w.nodes[idx] = node{
+	hb.w.nodes[idx] = node{
 		feature:   int32(bestFeat),
 		threshold: thresh,
 		gain:      bestGain,
@@ -404,46 +456,63 @@ func (hb *histBuilder) threshold(hist []float64, f, bin int) (float64, int) {
 }
 
 // buildHist accumulates the (gradient, hessian) histogram of rows for the
-// given columns. Each feature's region is zeroed and filled independently
-// — regions are disjoint, so the feature fan-out is race-free and the
-// per-feature accumulation order (ascending row position) is identical
-// serial or parallel.
-func (hb *histBuilder) buildHist(rows []int32, cols []int, hist []float64, grad, hess []float64) {
-	fill := func(ci int) {
-		f := cols[ci]
-		off := 2 * hb.offsets[f]
-		region := hist[off : off+2*hb.nbins[f]]
-		for b := range region {
-			region[b] = 0
-		}
-		code := hb.codes[f]
-		for _, i := range rows {
-			k := 2 * int(code[i])
-			region[k] += grad[i]
-			region[k+1] += hess[i]
-		}
-	}
+// given columns into h, which must be all-zero (fresh from the pool): each
+// row adds its gradient and a unit hessian — hessian sums are exact row
+// counts — and sets its bin's occupancy bit. Features' regions are
+// disjoint, so the feature fan-out is race-free and the per-feature
+// accumulation order (ascending row position) is identical serial or
+// parallel.
+func (hb *histBuilder) buildHist(rows []int32, cols []int, h *histBuf, grad []float64) {
 	// The fan-out only pays off when the node is large; small nodes run
 	// serially. Either way each feature is accumulated identically.
 	if hb.p.Workers > 1 && len(cols) > 1 && len(rows)*len(cols) >= 8192 {
-		pool.Do(len(cols), hb.p.Workers, fill)
-	} else {
-		for ci := range cols {
-			fill(ci)
-		}
+		pool.Do(len(cols), hb.p.Workers, func(ci int) { hb.fillHist(rows, cols[ci], h, grad) })
+		return
+	}
+	for _, f := range cols {
+		hb.fillHist(rows, f, h, grad)
+	}
+}
+
+func (hb *histBuilder) fillHist(rows []int32, f int, h *histBuf, grad []float64) {
+	off := 2 * hb.offsets[f]
+	region := h.v[off : off+2*hb.nbins[f]]
+	occ := (*[occWords]uint64)(h.occ[occWords*f:])
+	code := hb.codes[f]
+	for _, i := range rows {
+		c := code[i]
+		k := 2 * int(c)
+		region[k] += grad[i]
+		region[k+1]++
+		occ[c>>6] |= 1 << (c & 63)
 	}
 }
 
 // subtract computes parent−small in place into parent for the given
-// columns' regions. Hessian entries are sums of ones, hence exact
-// integers, so the derived child's row counts are exact too.
-func (hb *histBuilder) subtract(parent, small []float64, cols []int) {
+// columns' regions, visiting only small's occupied bins: a bin clear in
+// small is (+0, +0) there, and subtracting it would leave the parent's
+// bin unchanged. Every row of small is a row of parent, so small's set
+// bits are a subset of parent's. Hessian entries are row counts, exact
+// integers, so the derived child's counts are exact too; a bin that
+// empties to exactly (0, 0) is stored as (+0, +0) and its bit cleared,
+// while one left with a zero hessian but a gradient rounding residual
+// keeps its bit — the residual still feeds the split scan's running sums.
+func (hb *histBuilder) subtract(parent, small *histBuf, cols []int) {
 	for _, f := range cols {
 		off := 2 * hb.offsets[f]
-		end := off + 2*hb.nbins[f]
-		p, s := parent[off:end], small[off:end]
-		for b := range p {
-			p[b] -= s[b]
+		p, s := parent.v[off:off+2*hb.nbins[f]], small.v[off:off+2*hb.nbins[f]]
+		po := (*[occWords]uint64)(parent.occ[occWords*f:])
+		so := (*[occWords]uint64)(small.occ[occWords*f:])
+		for w, bits := range so {
+			for ; bits != 0; bits &= bits - 1 {
+				b := 64*w + mbits.TrailingZeros64(bits)
+				g, hs := p[2*b]-s[2*b], p[2*b+1]-s[2*b+1]
+				if g == 0 && hs == 0 {
+					g, hs = 0, 0 // +0: the clear-bit invariant
+					po[w] &^= 1 << (b & 63)
+				}
+				p[2*b], p[2*b+1] = g, hs
+			}
 		}
 	}
 }
@@ -455,28 +524,42 @@ type histSplit struct {
 	ok   bool
 }
 
-// scanBins sweeps one feature's bins left to right, accumulating the
-// left-child sums, and returns the maximal-gain boundary (earliest bin on
-// equal gain, strictly-greater updates — mirroring the exact path's rule).
-func (hb *histBuilder) scanBins(hist []float64, f int, gSum, hSum, parentScore float64) histSplit {
+// scanBins sweeps one feature's occupied bins left to right, accumulating
+// the left-child sums, and returns the maximal-gain boundary (earliest bin
+// on equal gain, strictly-greater updates — mirroring the exact path's
+// rule). Skipping a clear bin cannot change the result: it would add
+// exact zeros to gl and hl, so its boundary has either the previous
+// boundary's gain, which a strictly-greater update never picks, or — when
+// no occupied bin precedes it — hl = 0, which MinChildWeight > 0 rejects.
+func (hb *histBuilder) scanBins(h *histBuf, f int, gSum, hSum, parentScore float64) histSplit {
 	lambda, gamma, minChild := hb.p.Lambda, hb.p.Gamma, hb.p.MinChildWeight
 	off := 2 * hb.offsets[f]
-	nb := hb.nbins[f]
+	v := h.v[off : off+2*hb.nbins[f]]
+	last := hb.nbins[f] - 1 // the last bin has no boundary to its right
 	var c histSplit
 	var gl, hl float64
-	for b := 0; b < nb-1; b++ {
-		gl += hist[off+2*b]
-		hl += hist[off+2*b+1]
-		gr := gSum - gl
-		hr := hSum - hl
-		if hl < minChild || hr < minChild {
-			continue
-		}
-		gain := 0.5*(gl*gl/(hl+lambda)+gr*gr/(hr+lambda)-parentScore) - gamma
-		if gain > c.gain {
-			c.gain = gain
-			c.bin = b
-			c.ok = true
+	for w, bits := range (*[occWords]uint64)(h.occ[occWords*f:]) {
+		for ; bits != 0; bits &= bits - 1 {
+			b := 64*w + mbits.TrailingZeros64(bits)
+			if b >= last {
+				return c
+			}
+			gl += v[2*b]
+			hl += v[2*b+1]
+			gr := gSum - gl
+			hr := hSum - hl
+			if hr < minChild {
+				return c // hl only grows, so hr only shrinks
+			}
+			if hl < minChild {
+				continue
+			}
+			gain := 0.5*(gl*gl/(hl+lambda)+gr*gr/(hr+lambda)-parentScore) - gamma
+			if gain > c.gain {
+				c.gain = gain
+				c.bin = b
+				c.ok = true
+			}
 		}
 	}
 	return c

@@ -310,3 +310,29 @@ func TestHistMatchesExactOnNarrowData(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainBinnedAllocsFlat pins the histogram trainer's per-round
+// allocation cost: the boosting loop reuses its row sample, histogram
+// pool and node writer, so a round allocates only the finished tree's
+// node slice. Ninety extra rounds may add at most two objects each.
+func TestTrainBinnedAllocsFlat(t *testing.T) {
+	d := equivDataset(t, 700, 14, 5, 0)
+	bd, err := dataset.Bin(d, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rounds int) float64 {
+		p := histParams(256)
+		p.Rounds = rounds
+		return testing.AllocsPerRun(3, func() {
+			if _, err := TrainBinned(bd, nil, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lo, hi := allocs(10), allocs(100)
+	if perRound := (hi - lo) / 90; perRound > 2 {
+		t.Errorf("TrainBinned allocates %.1f objects per extra round (%v at 10 rounds, %v at 100), want <= 2",
+			perRound, lo, hi)
+	}
+}

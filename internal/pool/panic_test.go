@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -66,23 +67,31 @@ func TestForEachPanicPrefersLowestIndex(t *testing.T) {
 }
 
 // TestForEachPanicStopsNewWork checks that after a panic no new items are
-// started (the cancellation path treats it like any other failure).
+// started (the cancellation path treats it like any other failure). Every
+// item but 0 blocks until the pool cancels its context, so no worker can
+// run ahead of item 0's panic: at most one item per worker ever starts.
 func TestForEachPanicStopsNewWork(t *testing.T) {
 	var started atomic.Int64
-	n := 10000
-	err := ForEach(context.Background(), n, 2, func(_ context.Context, i int) error {
+	const n, workers = 10000, 2
+	err := ForEach(context.Background(), n, workers, func(ctx context.Context, i int) error {
 		started.Add(1)
 		if i == 0 {
 			panic("first")
 		}
-		return nil
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Second):
+			t.Errorf("item %d: context not cancelled 10s after item 0 panicked", i)
+			return nil
+		}
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
 	}
-	if got := started.Load(); got >= int64(n) {
-		t.Errorf("all %d items ran despite early panic", got)
+	if got := started.Load(); got > workers {
+		t.Errorf("%d items started despite early panic, want at most %d (one per worker)", got, workers)
 	}
 }
 

@@ -37,7 +37,8 @@ fi
 
 # ^BenchmarkPredict$ is anchored so it matches only BenchmarkPredict,
 # not BenchmarkServePredict (the serve stage below runs that one).
-pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|FeatureEngineering|LinregFit|SimulateSmall|^BenchmarkPredict\$|PredictAll|MIC|EngineRun}"
+# Fig11HeadlineBinned is the 256-bin Fig. 11 run over every study edge.
+pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|Fig11HeadlineBinned|FeatureEngineering|LinregFit|SimulateSmall|^BenchmarkPredict\$|PredictAll|MIC|EngineRun}"
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-1x}"
 shard_count="${BENCH_SHARD_COUNT:-3}"
