@@ -27,7 +27,9 @@ bench:
 
 # Short fuzz passes: the CSV ingestion round-trip properties, the
 # columnar container reader (truncated/corrupt/version-skewed inputs
-# must fail closed, never panic or silently drop rows), the world-spec
+# must fail closed, never panic or silently drop rows), the typed
+# SortByStart of logs and columnar tables (must equal the old stable
+# sort byte for byte, and each other), the world-spec
 # parser (malformed JSON / non-finite numbers must error, never panic),
 # the engine-schedule differential fuzzer (optimized and sharded event
 # cores must stay byte-identical to the reference core under
@@ -38,6 +40,7 @@ bench:
 fuzz:
 	$(GO) test ./internal/logs -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/logs/colfmt -run '^$$' -fuzz FuzzReadColumnar -fuzztime 30s
+	$(GO) test ./internal/logs/colfmt -run '^$$' -fuzz FuzzSortByStart -fuzztime 30s
 	$(GO) test ./internal/simulate -run '^$$' -fuzz FuzzParseWorld -fuzztime 30s
 	$(GO) test ./internal/simulate -run '^$$' -fuzz FuzzEngineSchedules -fuzztime 30s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzPredictRequest -fuzztime 30s

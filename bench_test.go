@@ -328,12 +328,13 @@ func BenchmarkEngineRunLarge(b *testing.B) {
 //
 // BenchmarkEngineShardLarge{1,2,4,Max} run the same clustered Large world
 // (simulate.LargeConfig: 24 disconnected clusters, ~300k transfers) at
-// increasing shard counts. Sharding wins twice: each sub-engine's
-// per-event work scans only its own components' active transfers (an
-// algorithmic gain that holds even on one CPU), and the sub-engines run
-// over internal/pool workers (a parallel gain on multi-core machines).
-// Output is byte-identical at every shard count — the differential and
-// property tests pin that; these benchmarks record what it costs.
+// increasing worker budgets. Every sharded run is one sub-engine per
+// component, so sharding wins twice: each sub-engine's per-event work
+// scans only its own component's active transfers (an algorithmic gain
+// that holds even on one CPU), and the sub-engines run on up to Shards
+// internal/pool workers (a parallel gain on multi-core machines). Output
+// is byte-identical at every budget — the differential and property
+// tests pin that; these benchmarks record what it costs.
 
 func benchEngineShards(b *testing.B, shards int) {
 	cfg := simulate.LargeConfig()
@@ -363,8 +364,8 @@ func BenchmarkEngineShardLarge1(b *testing.B) { benchEngineShards(b, 1) }
 func BenchmarkEngineShardLarge2(b *testing.B) { benchEngineShards(b, 2) }
 func BenchmarkEngineShardLarge4(b *testing.B) { benchEngineShards(b, 4) }
 
-// BenchmarkEngineShardLargeMax runs one shard per cluster (or per
-// GOMAXPROCS, whichever is larger — extra shards beyond the component
+// BenchmarkEngineShardLargeMax gives every cluster a worker (or every
+// GOMAXPROCS slot, whichever is more — workers beyond the component
 // count are clamped by the engine).
 func BenchmarkEngineShardLargeMax(b *testing.B) {
 	shards := runtime.GOMAXPROCS(0)

@@ -19,8 +19,8 @@
 //
 //	-seed N           RNG seed (default 42)
 //	-small            use the reduced workload (fast, for exploration)
-//	-shards N         shard the simulation by resource-sharing component
-//	                  (0/1 = serial; sharded output is byte-identical)
+//	-shards N         run one sub-engine per resource-sharing component on
+//	                  N workers (0/1 = serial; output is byte-identical)
 //	-out FILE         output path for simulate/worldspec/registry (default stdout)
 //	-format FMT       simulate: output format, csv (default) or columnar
 //	-in FILE          convert: input log (CSV or columnar, sniffed)
@@ -353,7 +353,7 @@ func parseArgs(args []string) (cmd string, cfg simulate.Config, opts options, er
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "RNG seed")
 	small := fs.Bool("small", false, "use the reduced workload")
-	shards := fs.Int("shards", 0, "shard the simulation by resource-sharing component (0/1 = serial; output is byte-identical)")
+	shards := fs.Int("shards", 0, "run one sub-engine per resource-sharing component on N workers (0/1 = serial; output is byte-identical)")
 	out := fs.String("out", "", "output path for simulate/worldspec/registry (default stdout)")
 	format := fs.String("format", "csv", "simulate: output format (csv or columnar)")
 	in := fs.String("in", "", "convert: input log file (required)")

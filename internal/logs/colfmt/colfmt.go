@@ -151,41 +151,32 @@ func (t *Table) Append(o *Table) {
 	t.Retries = append(t.Retries, o.Retries...)
 }
 
-// SortByStart orders rows by (Ts, ID), the same order logs.Log.SortByStart
-// establishes, permuting every column in place.
+// SortByStart orders rows by (Ts, ID) exactly as logs.Log.SortByStart
+// orders records (NaN starts first, equal pairs kept in place), moving
+// every column in place. It returns at once when the rows are already in
+// order, as a freshly read engine log is.
 func (t *Table) SortByStart() {
-	n := t.Len()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		if t.Ts[i] != t.Ts[j] {
-			return t.Ts[i] < t.Ts[j]
-		}
-		return t.ID[i] < t.ID[j]
-	})
-	t.ID = permute(t.ID, perm)
-	t.Src = permute(t.Src, perm)
-	t.Dst = permute(t.Dst, perm)
-	t.Ts = permute(t.Ts, perm)
-	t.Te = permute(t.Te, perm)
-	t.Bytes = permute(t.Bytes, perm)
-	t.Files = permute(t.Files, perm)
-	t.Dirs = permute(t.Dirs, perm)
-	t.Conc = permute(t.Conc, perm)
-	t.Par = permute(t.Par, perm)
-	t.Faults = permute(t.Faults, perm)
-	t.Retries = permute(t.Retries, perm)
+	logs.SortRows(t.Len(),
+		func(i int) logs.StartKey { return logs.StartKey{Ts: t.Ts[i], ID: int(t.ID[i]), Row: i} },
+		t.row, t.setRow)
 }
 
-func permute[T any](col []T, perm []int) []T {
-	out := make([]T, len(col))
-	for i, p := range perm {
-		out[i] = col[p]
-	}
-	return out
+// row is one table row across every column.
+type row struct {
+	id                                      int64
+	src, dst                                uint32
+	ts, te, bytes                           float64
+	files, dirs, conc, par, faults, retries int32
+}
+
+func (t *Table) row(i int) row {
+	return row{t.ID[i], t.Src[i], t.Dst[i], t.Ts[i], t.Te[i], t.Bytes[i],
+		t.Files[i], t.Dirs[i], t.Conc[i], t.Par[i], t.Faults[i], t.Retries[i]}
+}
+
+func (t *Table) setRow(i int, r row) {
+	t.ID[i], t.Src[i], t.Dst[i], t.Ts[i], t.Te[i], t.Bytes[i] = r.id, r.src, r.dst, r.ts, r.te, r.bytes
+	t.Files[i], t.Dirs[i], t.Conc[i], t.Par[i], t.Faults[i], t.Retries[i] = r.files, r.dirs, r.conc, r.par, r.faults, r.retries
 }
 
 // ToLog materializes the table as a row-oriented log (endpoint directory

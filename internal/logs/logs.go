@@ -10,11 +10,13 @@ package logs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,15 +122,124 @@ func (l *Log) AddEndpoint(e Endpoint) { l.Endpoints[e.ID] = e }
 // Append adds a record to the log.
 func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 
-// SortByStart orders records by start time (stable on record ID), the order
-// the feature-engineering time-series analysis assumes.
+// SortByStart orders records by (Ts, ID), keeping equal pairs in their
+// current order: the order the feature-engineering time-series analysis
+// assumes. Ts compares as cmp.Compare does: -0 equals +0, and a NaN start
+// (which strict ReadCSV and the columnar reader can carry; the lenient
+// reader skips such rows) sorts before every number. It sorts in place
+// and returns at once when the records are already in order.
 func (l *Log) SortByStart() {
-	sort.SliceStable(l.Records, func(i, j int) bool {
-		if l.Records[i].Ts != l.Records[j].Ts {
-			return l.Records[i].Ts < l.Records[j].Ts
+	recs := l.Records
+	SortRows(len(recs),
+		func(i int) StartKey { return StartKey{Ts: recs[i].Ts, ID: recs[i].ID, Row: i} },
+		func(i int) Record { return recs[i] },
+		func(i int, r Record) { recs[i] = r })
+}
+
+// StartKey is one row's key under SortByStart's order. Row, the row's
+// position before sorting, breaks (Ts, ID) ties, so sorting keys by
+// CompareStart with any algorithm gives the stable order.
+type StartKey struct {
+	Ts  float64
+	ID  int
+	Row int
+}
+
+// CompareStart orders keys by (Ts, ID, Row), Ts as cmp.Compare orders
+// floats.
+func CompareStart(a, b StartKey) int {
+	if c := cmp.Compare(a.Ts, b.Ts); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Row, b.Row)
+}
+
+// SortRows sorts n rows in place into the CompareStart order of their
+// keys; key(i) is row i's key, with Row i. Ordered rows return at once,
+// allocation-free. Otherwise the keys are sorted and rows move by the
+// cycles of the permutation, one row held aside per cycle: get and set
+// read and write a row.
+func SortRows[R any](n int, key func(i int) StartKey, get func(i int) R, set func(i int, r R)) {
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = CompareStart(key(i-1), key(i)) <= 0
+	}
+	if sorted {
+		return
+	}
+	keys := make([]StartKey, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	slices.SortFunc(keys, CompareStart)
+	// Row i receives the row that sat at keys[i].Row; a placed row is
+	// marked by keys[j].Row = j.
+	for i := range keys {
+		if keys[i].Row == i {
+			continue
 		}
-		return l.Records[i].ID < l.Records[j].ID
-	})
+		held := get(i)
+		j := i
+		for {
+			k := keys[j].Row
+			keys[j].Row = j
+			if k == i {
+				set(j, held)
+				break
+			}
+			set(j, get(k))
+			j = k
+		}
+	}
+}
+
+// MergeByStart appends the records of runs, each already in SortByStart
+// order, to dst in that order: a k-way merge in O(n log k), a min-heap
+// holding each unfinished run's next record. Equal (Ts, ID) pairs keep
+// run order, so merging the consecutive pieces of a log, each sorted,
+// gives what sorting the whole log gives.
+func MergeByStart(dst []Record, runs [][]Record) []Record {
+	runs = slices.Clone(runs)
+	head := func(r int) StartKey { return StartKey{Ts: runs[r][0].Ts, ID: runs[r][0].ID, Row: r} }
+	var h []StartKey // Row is the run index
+	for r := range runs {
+		if len(runs[r]) > 0 {
+			h = append(h, head(r))
+		}
+	}
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && CompareStart(h[c], h[m]) < 0 {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		r := h[0].Row
+		dst = append(dst, runs[r][0])
+		if runs[r] = runs[r][1:]; len(runs[r]) > 0 {
+			h[0] = head(r)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return dst
 }
 
 // Edges returns the distinct edge keys with their transfer counts.

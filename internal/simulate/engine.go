@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/logs"
 	"repro/internal/obs"
@@ -130,7 +130,7 @@ type xfer struct {
 	lastHaz      float64 // hazard in force at the last fault draw
 	needFault    bool    // entered the data phase; next redraw must draw
 	actSeq       int     // activation order; solver scopes sort by it
-	waitSeq      int // FIFO order in the waiting queue
+	waitSeq      int     // FIFO order in the waiting queue
 	inWaiting    bool
 	inComp       bool   // scratch: component-BFS mark (incResolve)
 	memberPos    [5]int // position in each resource's member list, parallel to resIdx
@@ -161,8 +161,8 @@ type Engine struct {
 	// stamp assignment.
 	preStamped bool
 
-	// shards is the component-shard budget (SetShards); <=1 runs the
-	// classic serial event loop.
+	// shards is the worker budget of the component-sharded driver
+	// (SetShards); <=1 runs the classic serial event loop.
 	shards int
 
 	pending     []TransferSpec // sorted by Start
@@ -270,6 +270,7 @@ type engineMetrics struct {
 	waiting      *obs.Gauge     // transfers queued on endpoint limits
 	retryQ       *obs.Gauge     // transfers waiting out retry backoff
 	queueDepth   *obs.Histogram // active+waiting depth, sampled per event
+	components   *obs.Gauge     // resource-sharing components of a sharded run
 }
 
 // SetObs attaches the engine's metrics to a registry ("sim.*" names);
@@ -293,6 +294,7 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 		waiting:      reg.Gauge("sim.waiting"),
 		retryQ:       reg.Gauge("sim.retrying"),
 		queueDepth:   reg.Histogram("sim.queue_depth", obs.ExpBuckets(1, 2, 12)),
+		components:   reg.Gauge("sim.components"),
 	}
 }
 
@@ -468,7 +470,13 @@ func (e *Engine) Run() (*logs.Log, error) {
 // between events, with the engine left in a consistent state — when ctx is
 // cancelled or its deadline passes, returning the context's error.
 func (e *Engine) RunContext(ctx context.Context) (*logs.Log, error) {
-	sort.SliceStable(e.pending, func(i, j int) bool { return e.pending[i].Start < e.pending[j].Start })
+	// Start order, submission order among equal starts (Start compares as
+	// cmp.Compare does); a shard's pending list arrives sorted.
+	p := e.pending
+	logs.SortRows(len(p),
+		func(i int) logs.StartKey { return logs.StartKey{Ts: p[i].Start, Row: i} },
+		func(i int) TransferSpec { return p[i] },
+		func(i int, s TransferSpec) { p[i] = s })
 	for i := range e.pending {
 		if err := e.validate(&e.pending[i]); err != nil {
 			return nil, err
@@ -490,10 +498,14 @@ func (e *Engine) RunContext(ctx context.Context) (*logs.Log, error) {
 		}
 	}
 	e.initRun()
+	e.log.Records = slices.Grow(e.log.Records, e.stats.Submitted)
 
+	done := ctx.Done()
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
 		}
 		if e.nextPending >= len(e.pending) && len(e.active) == 0 && e.waitingLen() == 0 &&
 			len(e.retryQ) == 0 && e.chainsDone() {
@@ -545,13 +557,13 @@ func (e *Engine) assignStamps() {
 	}
 }
 
-// SetShards sets the engine's component-shard budget: with n > 1 and no
-// monitor attached, RunContext partitions the workload by connected
-// component of the resource-sharing graph and runs up to n sub-engines
-// over internal/pool workers, merging their logs deterministically. The
-// merged output is byte-identical to the serial engine (DESIGN.md §12);
-// a monitor forces the serial path because OnInterval observes the
-// global clock. Must be called before Run.
+// SetShards sets the engine's worker budget: with n > 1 and no monitor
+// attached, RunContext partitions the workload by connected component of
+// the resource-sharing graph and runs one sub-engine per component on
+// min(n, components) internal/pool workers, merging their logs in one
+// linear pass. The merged output is byte-identical to the serial engine
+// whatever n is (DESIGN.md §12); a monitor forces the serial path because
+// OnInterval observes the global clock. Must be called before Run.
 func (e *Engine) SetShards(n int) { e.shards = n }
 
 // SetReference switches the engine to its reference event core: the

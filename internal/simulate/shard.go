@@ -7,10 +7,10 @@ package simulate
 // graph (the same structure dirty.go re-solves incrementally within one
 // engine) partition the workload into sub-simulations that are exactly
 // independent: same events, same float arithmetic, same RNG draws. The
-// driver below unions endpoints over the submitted specs, packs the
-// components onto up to Shards sub-engines, runs them over internal/pool
-// workers, and merges the logs. Byte-identity with the serial engine
-// rests on three invariants kept elsewhere:
+// driver below unions endpoints over the submitted specs, runs one
+// sub-engine per component on up to Shards internal/pool workers, and
+// merges the sorted sub-logs in one linear pass. Byte-identity with the
+// serial engine rests on three invariants kept elsewhere:
 //
 //   - every RNG draw comes from a per-entity stream keyed by stable
 //     identity (prng.go), never from engine-global state;
@@ -18,35 +18,43 @@ package simulate
 //     times (advancePayload/commitScope), never at foreign events;
 //   - record IDs are global submission stamps assigned before
 //     partitioning (assignStamps), so (Ts, ID) totally orders the merged
-//     records and SortByStart reproduces the serial log byte for byte.
+//     records and merging the sorted sub-logs reproduces the serial log
+//     byte for byte.
 //
-// Chaos routing: outages are endpoint-scoped and go only to the shard
-// owning that endpoint; WAN faults and storms broadcast to every shard —
-// they scale capacities/hazards without coupling components, and their
-// boundaries must be events on every shard's clock so fault redraws
-// happen at the serial engine's times.
+// Chaos routing: outages are endpoint-scoped and go only to the
+// sub-engine owning that endpoint; WAN faults and storms broadcast to
+// every sub-engine — they scale capacities/hazards without coupling
+// components, and their boundaries must be events on every sub-engine's
+// clock so fault redraws happen at the serial engine's times.
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/logs"
 	"repro/internal/pool"
 )
 
-// shardWork is the input of one sub-engine: its endpoints (world order),
-// its specs and chains (submission order), and its routed chaos plan.
+// shardWork is one component's sub-simulation: its endpoints (world
+// order), specs and chains (submission order) and routed chaos plan on
+// the way in; its log, stats and violations on the way out.
 type shardWork struct {
 	eps    []int
 	specs  []TransferSpec
 	chains [][]TransferSpec
+	size   int // specs plus chain members: the load-balancing weight
 	plan   *ChaosPlan
+
+	log   *logs.Log
+	stats Stats
+	viol  []string
 }
 
 // runSharded partitions the stamped workload by resource-sharing
-// component and runs it on up to e.shards sub-engines. It reports
-// handled=false when the workload has fewer than two components, in
-// which case RunContext falls through to the serial loop.
+// component and runs one sub-engine per component on up to e.shards
+// workers. It reports handled=false when the workload has fewer than two
+// components, in which case RunContext falls through to the serial loop.
 func (e *Engine) runSharded(ctx context.Context) (*logs.Log, error, bool) {
 	nEp := len(e.w.Endpoints)
 
@@ -105,7 +113,7 @@ func (e *Engine) runSharded(ctx context.Context) (*logs.Log, error, bool) {
 	// Dense component ids in endpoint-index order; idle endpoints (no
 	// specs) belong to no component and no sub-world.
 	compOf := make(map[int]int)
-	var compEps [][]int
+	var works []shardWork
 	epComp := make([]int, nEp)
 	for i := 0; i < nEp; i++ {
 		epComp[i] = -1
@@ -115,99 +123,64 @@ func (e *Engine) runSharded(ctx context.Context) (*logs.Log, error, bool) {
 		r := find(i)
 		c, ok := compOf[r]
 		if !ok {
-			c = len(compEps)
+			c = len(works)
 			compOf[r] = c
-			compEps = append(compEps, nil)
+			works = append(works, shardWork{})
 		}
-		compEps[c] = append(compEps[c], i)
+		works[c].eps = append(works[c].eps, i)
 		epComp[i] = c
 	}
-	if len(compEps) < 2 {
+	e.m.components.Set(float64(len(works)))
+	if len(works) < 2 {
 		return nil, nil, false
 	}
 
-	// Greedy LPT packing: components by spec count descending onto the
-	// currently lightest shard; ties break toward lower ids so the
-	// partition is deterministic (the merged output does not depend on
-	// it, only the load balance does).
-	weight := make([]int, len(compEps))
+	specComp := make([]int, len(e.pending))
 	for i := range e.pending {
-		weight[epComp[e.epIndex(e.pending[i].Src)]]++
+		c := epComp[e.epIndex(e.pending[i].Src)]
+		specComp[i] = c
+		works[c].size++
+	}
+	for c := range works {
+		works[c].specs = make([]TransferSpec, 0, works[c].size)
+	}
+	for i, c := range specComp {
+		works[c].specs = append(works[c].specs, e.pending[i])
 	}
 	for _, ch := range e.chains {
-		weight[epComp[e.epIndex(ch.specs[0].Src)]] += len(ch.specs)
-	}
-	k := e.shards
-	if k > len(compEps) {
-		k = len(compEps)
-	}
-	order := make([]int, len(compEps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		if weight[ca] != weight[cb] {
-			return weight[ca] > weight[cb]
-		}
-		return ca < cb
-	})
-	shardOf := make([]int, len(compEps))
-	load := make([]int, k)
-	for _, c := range order {
-		best := 0
-		for s := 1; s < k; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		shardOf[c] = best
-		load[best] += weight[c]
-	}
-
-	works := make([]*shardWork, k)
-	for s := range works {
-		works[s] = &shardWork{}
-	}
-	for i := 0; i < nEp; i++ {
-		if epComp[i] >= 0 {
-			w := works[shardOf[epComp[i]]]
-			w.eps = append(w.eps, i)
-		}
-	}
-	for i := range e.pending {
-		s := shardOf[epComp[e.epIndex(e.pending[i].Src)]]
-		works[s].specs = append(works[s].specs, e.pending[i])
-	}
-	for _, ch := range e.chains {
-		s := shardOf[epComp[e.epIndex(ch.specs[0].Src)]]
-		works[s].chains = append(works[s].chains, ch.specs)
+		w := &works[epComp[e.epIndex(ch.specs[0].Src)]]
+		w.chains = append(w.chains, ch.specs)
+		w.size += len(ch.specs)
 	}
 	if p := e.chaosPlan; p != nil {
-		for s, w := range works {
-			var outages []OutageEvent
-			for _, o := range p.Outages {
-				// An outage on an idle endpoint (no specs, so no
-				// component) cannot affect any transfer; drop it.
-				if c := epComp[e.epIndex(o.EndpointID)]; c >= 0 && shardOf[c] == s {
-					outages = append(outages, o)
-				}
+		outages := make([][]OutageEvent, len(works))
+		for _, o := range p.Outages {
+			// An outage on an idle endpoint (no specs, so no component)
+			// cannot affect any transfer; drop it.
+			if c := epComp[e.epIndex(o.EndpointID)]; c >= 0 {
+				outages[c] = append(outages[c], o)
 			}
+		}
+		for c := range works {
 			// WAN faults and storms broadcast (read-only shared slices).
-			w.plan = &ChaosPlan{Outages: outages, WANFaults: p.WANFaults, Storms: p.Storms}
+			works[c].plan = &ChaosPlan{Outages: outages[c], WANFaults: p.WANFaults, Storms: p.Storms}
 		}
 	}
 
-	subLogs := make([]*logs.Log, k)
-	subStats := make([]Stats, k)
-	subViol := make([][]string, k)
-	err := pool.ForEach(ctx, k, k, func(ctx context.Context, s int) error {
-		wk := works[s]
+	// Heaviest components first, so the pool's shared counter hands the
+	// long runs out early and the short ones fill in behind them.
+	order := make([]int, len(works))
+	for c := range order {
+		order[c] = c
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(works[b].size, works[a].size) })
+	err := pool.ForEach(ctx, len(works), e.shards, func(ctx context.Context, i int) error {
+		wk := &works[order[i]]
 		sub := NewEngine(e.subWorld(wk.eps), e.seed)
 		sub.ref = e.ref
 		sub.preStamped = true
 		sub.m = e.m // shared instruments; counters are atomic
-		sub.Submit(wk.specs...)
+		sub.pending = wk.specs
 		for _, cs := range wk.chains {
 			sub.SubmitChain(cs...)
 		}
@@ -220,32 +193,34 @@ func (e *Engine) runSharded(ctx context.Context) (*logs.Log, error, bool) {
 		if err != nil {
 			return err
 		}
-		subLogs[s] = l
-		subStats[s] = sub.Stats()
-		subViol[s] = sub.violations
+		wk.log, wk.stats, wk.viol = l, sub.Stats(), sub.violations
+		wk.specs = nil
 		return nil
 	})
 	if err != nil {
 		return nil, err, true
 	}
 
-	// Deterministic merge: concatenate into the parent log (which holds
-	// the FULL world's endpoint directory) and re-sort. Stamps are
-	// globally unique, so (Ts, ID) is a total order and the result is
-	// byte-identical to the serial engine's log. Stats sum; Submitted is
-	// the parent's own count.
-	for s := 0; s < k; s++ {
-		e.log.Records = append(e.log.Records, subLogs[s].Records...)
-		st := subStats[s]
-		e.stats.Completed += st.Completed
-		e.stats.Faults += st.Faults
-		e.stats.Retries += st.Retries
-		e.stats.Abandoned += st.Abandoned
-		e.stats.OutageAborts += st.OutageAborts
-		e.stats.OutageStalls += st.OutageStalls
-		e.violations = append(e.violations, subViol[s]...)
+	// Combine in component-id order, so nothing depends on scheduling.
+	// Stamps are globally unique, so (Ts, ID) totally orders the records
+	// and merging the sorted sub-logs gives the serial engine's log byte
+	// for byte. The parent log holds the FULL world's endpoint directory.
+	// Stats sum; Submitted is the parent's own count.
+	subLogs := make([][]logs.Record, len(works))
+	n := 0
+	for c := range works {
+		wk := &works[c]
+		subLogs[c] = wk.log.Records
+		n += len(wk.log.Records)
+		e.stats.Completed += wk.stats.Completed
+		e.stats.Faults += wk.stats.Faults
+		e.stats.Retries += wk.stats.Retries
+		e.stats.Abandoned += wk.stats.Abandoned
+		e.stats.OutageAborts += wk.stats.OutageAborts
+		e.stats.OutageStalls += wk.stats.OutageStalls
+		e.violations = append(e.violations, wk.viol...)
 	}
-	e.log.SortByStart()
+	e.log.Records = logs.MergeByStart(make([]logs.Record, 0, n), subLogs)
 	return e.log, nil, true
 }
 

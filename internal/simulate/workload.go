@@ -42,8 +42,9 @@ type Config struct {
 	Clusters int
 
 	// Shards is handed to Engine.SetShards by the GenerateLog family:
-	// 0 or 1 runs the serial event loop, larger values shard the run by
-	// resource-sharing component with byte-identical output.
+	// 0 or 1 runs the serial event loop; a larger value runs one
+	// sub-engine per resource-sharing component on that many workers,
+	// with byte-identical output.
 	Shards int
 }
 
