@@ -31,9 +31,10 @@ bench:
 # SortByStart of logs and columnar tables (must equal the old stable
 # sort byte for byte, and each other), the world-spec
 # parser (malformed JSON / non-finite numbers must error, never panic),
-# the engine-schedule differential fuzzer (optimized and sharded event
-# cores must stay byte-identical to the reference core under
-# adversarial deadline ties), and the serve daemon's request decoder
+# the engine-schedule differential fuzzer (the serial and sharded event
+# core must stay byte-identical to the reference core, which lives only
+# in the tests, under adversarial deadline ties; CI runs a 20 s pass of
+# it on every push), and the serve daemon's request decoder
 # (malformed bodies must 400, never panic), and the log tailer (torn
 # appends, rotation, truncation, and garbage mid-stream must never
 # panic or emit a malformed record).

@@ -10,34 +10,34 @@ import (
 // builder holds per-training-run state for tree construction.
 //
 // The exact greedy split search needs every node's rows ordered by each
-// candidate feature. Sorting at every node — the naive approach kept in
-// refGrow — costs O(rounds·nodes·features·n log n). Instead the builder
-// argsorts every feature column once per Train with ties broken by row
-// index (a deterministic total order), and tree growth maintains one
-// sorted index list per feature per node by stable-partitioning the
-// parent's lists against a membership bitmap: a subsequence of a sorted
-// list is still sorted, so no comparison sort ever runs again.
+// candidate feature. Sorting at every node — the naive approach the
+// equivalence tests keep as their reference finder — costs
+// O(rounds·nodes·features·n log n). Instead the builder argsorts every
+// feature column once per Train with ties broken by row index (a
+// deterministic total order), and tree growth maintains one sorted index
+// list per feature per node by stable-partitioning the parent's lists
+// against a membership bitmap: a subsequence of a sorted list is still
+// sorted, so no comparison sort ever runs again.
 //
-// Determinism contract: the optimized and reference paths enumerate
-// candidate splits in the identical (feature value, row index) sequence
-// and accumulate gradient/hessian partial sums in that same sequence, so
-// every floating-point operation happens in the same order and the two
-// paths produce bit-identical trees. Parallel split search preserves
-// this: each feature's scan is independent, and the winning split is
-// reduced serially in ascending feature order with a strictly-greater
-// rule, so the lowest feature index wins on equal gain regardless of
-// worker count or scheduling.
+// Determinism contract: the presorted search and the reference finder
+// enumerate candidate splits in the identical (feature value, row index)
+// sequence and accumulate gradient/hessian partial sums in that same
+// sequence, so every floating-point operation happens in the same order
+// and the two produce bit-identical trees. Parallel split search
+// preserves this: each feature's scan is independent, and the winning
+// split is reduced serially in ascending feature order with a
+// strictly-greater rule, so the lowest feature index wins on equal gain
+// regardless of worker count or scheduling.
 type builder struct {
-	x         [][]float64 // the training feature matrix, row-major
-	p         Params
-	n         int
-	sorted    [][]int32 // per feature: all row indices sorted by (value, index)
-	goLeft    []bool    // scratch: left/right membership for the node being split
-	inSample  []bool    // scratch: row-subsample membership for the current tree
-	id32      []int32   // identity row list, shared by every full-row tree
-	rootBuf   []int32   // scratch: root row/feature lists under row subsampling
-	levels    []levelBufs
-	reference bool // use refGrow (naive per-node sorting) instead
+	x        [][]float64 // the training feature matrix, row-major
+	p        Params
+	n        int
+	sorted   [][]int32 // per feature: all row indices sorted by (value, index)
+	goLeft   []bool    // scratch: left/right membership for the node being split
+	inSample []bool    // scratch: row-subsample membership for the current tree
+	id32     []int32   // identity row list, shared by every full-row tree
+	rootBuf  []int32   // scratch: root row/feature lists under row subsampling
+	levels   []levelBufs
 
 	// Split-search telemetry, active only when Params.Metrics is set:
 	// measure gates the clock reads, splitNS accumulates the wall time
@@ -77,17 +77,16 @@ func (b *builder) region(buf []int32, f int) []int32 {
 	return buf[f*b.n : f*b.n : (f+1)*b.n]
 }
 
-func newBuilder(x [][]float64, numFeatures int, p Params, reference bool) *builder {
+func newBuilder(x [][]float64, numFeatures int, p Params) *builder {
 	n := len(x)
 	b := &builder{
-		x:         x,
-		p:         p,
-		n:         n,
-		sorted:    make([][]int32, numFeatures),
-		goLeft:    make([]bool, n),
-		inSample:  make([]bool, n),
-		reference: reference,
-		measure:   p.Metrics != nil,
+		x:        x,
+		p:        p,
+		n:        n,
+		sorted:   make([][]int32, numFeatures),
+		goLeft:   make([]bool, n),
+		inSample: make([]bool, n),
+		measure:  p.Metrics != nil,
 	}
 	nf := numFeatures
 	for f := 0; f < nf; f++ {
@@ -114,11 +113,16 @@ type splitCand struct {
 	ok     bool
 }
 
+// testHookGrow, when non-nil, grows every tree in place of the presorted
+// search. Nil in production; the equivalence tests install the per-node
+// sorting reference finder here.
+var testHookGrow func(b *builder, w *flatWriter, rows, cols []int, grad, hess []float64)
+
 // build grows one tree on the given row subset using only the given columns.
 func (b *builder) build(rows, cols []int, grad, hess []float64) tree {
 	w := &flatWriter{}
-	if b.reference {
-		b.refGrow(w, rows, cols, grad, hess, 0)
+	if testHookGrow != nil {
+		testHookGrow(b, w, rows, cols, grad, hess)
 		return tree{nodes: w.nodes}
 	}
 
@@ -271,7 +275,8 @@ func (b *builder) grow(w *flatWriter, rowList []int32, featLists [][]int32, cols
 
 // scanFeature sweeps one feature's sorted node rows and returns the best
 // split it offers: the maximal gain, at the earliest cut point achieving
-// it (strictly-greater updates), matching refGrow's scan exactly.
+// it (strictly-greater updates), matching the reference finder's scan
+// exactly.
 func (b *builder) scanFeature(order []int32, f int, gSum, hSum, parentScore float64, grad, hess []float64) splitCand {
 	x := b.x
 	lambda, gamma, minChild := b.p.Lambda, b.p.Gamma, b.p.MinChildWeight
@@ -316,88 +321,4 @@ func (w *flatWriter) leaf(weight float64) int32 {
 func (w *flatWriter) reserve() int32 {
 	w.nodes = append(w.nodes, node{})
 	return int32(len(w.nodes) - 1)
-}
-
-// refGrow is the reference split finder: per-node sorting, exactly the
-// original O(rounds·nodes·features·n log n) algorithm, except that the
-// sort breaks feature-value ties by row index so that candidate
-// enumeration order — and therefore every floating-point accumulation —
-// is a deterministic total order shared with the optimized path. The
-// equivalence tests assert both paths emit bit-identical trees.
-func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []float64, depth int) int32 {
-	var gSum, hSum float64
-	for _, i := range rows {
-		gSum += grad[i]
-		hSum += hess[i]
-	}
-	if depth >= b.p.MaxDepth || len(rows) < 2 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
-	}
-
-	bestGain := 0.0
-	bestFeat := -1
-	bestThresh := 0.0
-	parentScore := gSum * gSum / (hSum + b.p.Lambda)
-
-	x := b.x
-	order := make([]int, len(rows))
-	for _, f := range cols {
-		copy(order, rows)
-		sort.Slice(order, func(a, c int) bool {
-			va, vc := x[order[a]][f], x[order[c]][f]
-			if va != vc {
-				return va < vc
-			}
-			return order[a] < order[c]
-		})
-
-		var gl, hl float64
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			gl += grad[i]
-			hl += hess[i]
-			// Can't split between equal feature values.
-			if x[order[k]][f] == x[order[k+1]][f] {
-				continue
-			}
-			gr := gSum - gl
-			hr := hSum - hl
-			if hl < b.p.MinChildWeight || hr < b.p.MinChildWeight {
-				continue
-			}
-			gain := 0.5*(gl*gl/(hl+b.p.Lambda)+gr*gr/(hr+b.p.Lambda)-parentScore) - b.p.Gamma
-			if gain > bestGain {
-				bestGain = gain
-				bestFeat = f
-				bestThresh = (x[order[k]][f] + x[order[k+1]][f]) / 2
-			}
-		}
-	}
-
-	if bestFeat < 0 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
-	}
-
-	var leftRows, rightRows []int
-	for _, i := range rows {
-		if x[i][bestFeat] <= bestThresh {
-			leftRows = append(leftRows, i)
-		} else {
-			rightRows = append(rightRows, i)
-		}
-	}
-	if len(leftRows) == 0 || len(rightRows) == 0 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
-	}
-	idx := w.reserve()
-	left := b.refGrow(w, leftRows, cols, grad, hess, depth+1)
-	right := b.refGrow(w, rightRows, cols, grad, hess, depth+1)
-	w.nodes[idx] = node{
-		feature:   int32(bestFeat),
-		threshold: bestThresh,
-		gain:      bestGain,
-		left:      left,
-		right:     right,
-	}
-	return idx
 }

@@ -13,12 +13,13 @@ import (
 )
 
 // Committed model digests: the SHA-256 of the serialized model for a set
-// of seeded histogram-training runs. Any change to the histogram trainer
-// that alters a single threshold, weight or gain bit changes a digest, so
-// a performance rewrite of the split search is held to bit-identity here,
-// in tier-1, rather than by end-to-end benchmark goldens. The datasets
-// are sparse in bin space (n well below 256 × features), the regime the
-// study edges train in. Regenerate deliberately with:
+// of seeded training runs, histogram and exact (Bins: 0). Any change to a
+// trainer that alters a single threshold, weight or gain bit changes a
+// digest, so a performance rewrite of the split search is held to
+// bit-identity here, in tier-1, rather than by end-to-end benchmark
+// goldens. The histogram datasets are sparse in bin space (n well below
+// 256 × features), the regime the study edges train in. Regenerate
+// deliberately with:
 //
 //	go test ./internal/ml/gbt/ -run TestHistModelDigests -update
 var update = flag.Bool("update", false, "regenerate testdata/hist_digests.json")
@@ -81,6 +82,13 @@ func digestCases() []digestCase {
 			}
 			return m
 		}},
+		{"exact_rows0.9", train(sparse, func(p *Params) { p.Bins = 0 })},
+		{"exact_nosubsample", train(sparse, func(p *Params) { p.Bins = 0; p.SubsampleRows = 1 })},
+		{"exact_ties_rows0.6_cols0.5", train(ties, func(p *Params) {
+			p.Bins = 0
+			p.SubsampleRows = 0.6
+			p.SubsampleCols = 0.5
+		})},
 		{"warm_continuation", func(t *testing.T) *Model {
 			p := histParams(256)
 			p.Rounds = 40
@@ -99,7 +107,8 @@ func digestCases() []digestCase {
 	}
 }
 
-// TestHistModelDigests pins the histogram trainer's output bit for bit.
+// TestHistModelDigests pins the histogram and exact trainers' output bit
+// for bit.
 func TestHistModelDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range digestCases() {

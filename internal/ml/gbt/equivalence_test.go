@@ -2,17 +2,30 @@ package gbt
 
 // Golden-equivalence tests: the presorted, bitmap-partitioned, parallel
 // split search must produce bit-identical ensembles to the naive
-// reference finder (refGrow) — same feature, threshold, weight, and gain
-// at every node, same importances, same predictions. Not "close": equal.
+// reference finder (refGrow, below) — same feature, threshold, weight, and
+// gain at every node, same importances, same predictions. Not "close":
+// equal.
 
 import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/ml/dataset"
 )
+
+// trainReference trains an exact model with refGrow growing every tree,
+// installed through testHookGrow for the duration of the call.
+func trainReference(d *dataset.Dataset, p Params) (*Model, error) {
+	testHookGrow = func(b *builder, w *flatWriter, rows, cols []int, grad, hess []float64) {
+		b.refGrow(w, rows, cols, grad, hess, 0)
+	}
+	defer func() { testHookGrow = nil }()
+	p.Bins = 0
+	return Train(d, p)
+}
 
 // equivDataset builds a seeded dataset; quantize > 0 snaps feature values
 // onto a coarse grid so that columns are riddled with exact ties, the
@@ -103,11 +116,11 @@ func TestOptimizedMatchesReference(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&p)
 			}
-			opt, err := train(d, p, false)
+			opt, err := Train(d, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := train(d, p, true)
+			ref, err := trainReference(d, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +172,7 @@ func TestReferenceModeStillLearns(t *testing.T) {
 	d := equivDataset(t, 400, 3, 13, 0)
 	p := DefaultParams()
 	p.Rounds = 40
-	m, err := train(d, p, true)
+	m, err := trainReference(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,4 +186,88 @@ func TestReferenceModeStillLearns(t *testing.T) {
 	if math.Abs(got-(3-2*1)) > 1.5 {
 		t.Errorf("reference model Predict = %g, want ~1", got)
 	}
+}
+
+// refGrow is the reference split finder: per-node sorting, exactly the
+// original O(rounds·nodes·features·n log n) algorithm, except that the
+// sort breaks feature-value ties by row index so that candidate
+// enumeration order — and therefore every floating-point accumulation —
+// is a deterministic total order shared with the presorted search. The
+// tests above assert both emit bit-identical trees.
+func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []float64, depth int) int32 {
+	var gSum, hSum float64
+	for _, i := range rows {
+		gSum += grad[i]
+		hSum += hess[i]
+	}
+	if depth >= b.p.MaxDepth || len(rows) < 2 {
+		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+	}
+
+	bestGain := 0.0
+	bestFeat := -1
+	bestThresh := 0.0
+	parentScore := gSum * gSum / (hSum + b.p.Lambda)
+
+	x := b.x
+	order := make([]int, len(rows))
+	for _, f := range cols {
+		copy(order, rows)
+		sort.Slice(order, func(a, c int) bool {
+			va, vc := x[order[a]][f], x[order[c]][f]
+			if va != vc {
+				return va < vc
+			}
+			return order[a] < order[c]
+		})
+
+		var gl, hl float64
+		for k := 0; k < len(order)-1; k++ {
+			i := order[k]
+			gl += grad[i]
+			hl += hess[i]
+			// Can't split between equal feature values.
+			if x[order[k]][f] == x[order[k+1]][f] {
+				continue
+			}
+			gr := gSum - gl
+			hr := hSum - hl
+			if hl < b.p.MinChildWeight || hr < b.p.MinChildWeight {
+				continue
+			}
+			gain := 0.5*(gl*gl/(hl+b.p.Lambda)+gr*gr/(hr+b.p.Lambda)-parentScore) - b.p.Gamma
+			if gain > bestGain {
+				bestGain = gain
+				bestFeat = f
+				bestThresh = (x[order[k]][f] + x[order[k+1]][f]) / 2
+			}
+		}
+	}
+
+	if bestFeat < 0 {
+		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+	}
+
+	var leftRows, rightRows []int
+	for _, i := range rows {
+		if x[i][bestFeat] <= bestThresh {
+			leftRows = append(leftRows, i)
+		} else {
+			rightRows = append(rightRows, i)
+		}
+	}
+	if len(leftRows) == 0 || len(rightRows) == 0 {
+		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+	}
+	idx := w.reserve()
+	left := b.refGrow(w, leftRows, cols, grad, hess, depth+1)
+	right := b.refGrow(w, rightRows, cols, grad, hess, depth+1)
+	w.nodes[idx] = node{
+		feature:   int32(bestFeat),
+		threshold: bestThresh,
+		gain:      bestGain,
+		left:      left,
+		right:     right,
+	}
+	return idx
 }

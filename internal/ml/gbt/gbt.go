@@ -26,8 +26,8 @@
 // nodes in pre-order (the same layout the JSON serialization uses), which
 // keeps Predict's pointer chasing inside one cache-friendly slice.
 //
-// The naive per-node sorting search is retained as refGrow and exercised
-// by the equivalence tests: both paths visit candidate splits in the same
+// The naive per-node sorting search lives on as the equivalence tests'
+// reference finder: both searches visit candidate splits in the same
 // deterministic order and accumulate gradient sums in the same sequence,
 // so they produce bit-identical trees, predictions, and importances.
 //
@@ -205,12 +205,6 @@ func Train(d *dataset.Dataset, p Params) (*Model, error) {
 		}
 		return TrainBinned(bd, nil, p)
 	}
-	return train(d, p, false)
-}
-
-// train is the shared implementation behind Train and the reference-mode
-// training the equivalence tests use.
-func train(d *dataset.Dataset, p Params, reference bool) (*Model, error) {
 	n := d.Len()
 	if n == 0 {
 		return nil, dataset.ErrEmpty
@@ -236,7 +230,7 @@ func train(d *dataset.Dataset, p Params, reference bool) (*Model, error) {
 	grad := make([]float64, n)
 	hess := make([]float64, n)
 
-	b := newBuilder(d.X, d.NumFeatures(), p, reference)
+	b := newBuilder(d.X, d.NumFeatures(), p)
 
 	// With no subsampling the row/column identity lists are loop
 	// invariants: compute them once instead of once per round.

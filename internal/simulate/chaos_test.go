@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,10 +292,9 @@ func TestChaosScenarioInvariants(t *testing.T) {
 	}
 }
 
-// TestDeadlockErrorDiagnostics: a chain whose successor can never start
-// (its predecessor is abandoned) must not wedge the engine — and when the
-// engine does report a deadlock, the error carries a state dump. Here we
-// pin the abandonment path keeps chains alive instead of deadlocking.
+// TestAbandonmentKeepsChainAlive: a chain whose head is abandoned must
+// not wedge the engine — the abandonment path schedules the successor
+// just as a completion would.
 func TestAbandonmentKeepsChainAlive(t *testing.T) {
 	w := twoNodeWorld()
 	w.MaxRetries = 1
@@ -328,5 +328,33 @@ func TestAbandonmentKeepsChainAlive(t *testing.T) {
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWedgedRunReportsDeadlock wedges a run: its only transfer waits on an
+// endpoint that is down with no outage end scheduled, while background
+// resamples keep producing events forever. The engine must return a
+// DeadlockError carrying its state dump instead of following the
+// background clock. The run sits under a context deadline, so an engine
+// that spins fails this test rather than hanging the package.
+func TestWedgedRunReportsDeadlock(t *testing.T) {
+	w := twoNodeWorld()
+	for _, ep := range w.Endpoints {
+		ep.Bg = BgConfig{MaxFrac: 0.3, MeanInterval: 60}
+	}
+	eng := NewEngine(w, 1)
+	eng.Submit(TransferSpec{Src: "src", Dst: "dst", Start: 5, Bytes: 1e9, Files: 1, Conc: 1, Par: 1})
+	eng.epDown[eng.epIndex("dst")] = 1 // down for good: no end event
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := eng.RunContext(ctx)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want *DeadlockError", err)
+	}
+	for _, want := range []string{"waiting=1", "endpoint dst DOWN", "waiting x0 src->dst"} {
+		if !strings.Contains(dl.Error(), want) {
+			t.Errorf("deadlock dump lacks %q:\n%s", want, dl.Error())
+		}
 	}
 }

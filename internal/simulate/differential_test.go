@@ -11,10 +11,10 @@ import (
 	"repro/internal/logs"
 )
 
-// differential_test.go pins the optimized event core (indexed heaps,
+// differential_test.go pins the production event core (indexed heaps,
 // incremental dirty-component resolution, per-endpoint waiting queues) to
-// the reference core byte for byte: same RNG draws, same event order, same
-// float results. The property sweep covers random workloads; the tests
+// the reference core (refcore_test.go) byte for byte: same RNG draws, same
+// event order, same float results. The property sweep covers random workloads; the tests
 // here construct the adversarial structure the sweep rarely hits — mass
 // deadline ties, single-slot FIFO queues, chain/retry/chaos interleavings —
 // and a fuzz target searches for more.
@@ -63,7 +63,7 @@ func runDiffPair(t *testing.T, w *World, setup func(e *Engine)) {
 	st := make([]Stats, len(modes))
 	for mode, m := range modes {
 		eng := NewEngine(w, 42)
-		eng.SetReference(m.ref)
+		setReference(eng, m.ref)
 		eng.SetShards(m.shards)
 		setup(eng)
 		l, err := eng.Run()
@@ -90,6 +90,7 @@ func runDiffPair(t *testing.T, w *World, setup func(e *Engine)) {
 				modes[mode].ref, modes[mode].shards, st[mode], st[0])
 		}
 	}
+	checkEngineDigest(t, out[0], st[0])
 }
 
 // TestDifferentialContention drives overlapping transfers through CPU
@@ -279,6 +280,7 @@ func TestDifferentialSharded(t *testing.T) {
 		if shards == 1 {
 			serial = buf.Bytes()
 			serialStats = eng.Stats()
+			checkEngineDigest(t, serial, serialStats)
 			continue
 		}
 		if !bytes.Equal(serial, buf.Bytes()) {
@@ -306,13 +308,15 @@ func (m *recordingMonitor) OnInterval(t0, t1 float64, loads []EndpointLoad) {
 
 // TestDifferentialMonitor pins the monitor view: both cores must report
 // exactly the same interval sequence and bit-identical endpoint loads —
-// the snapshot path reads the incrementally maintained procsAt/resLoad.
+// the snapshot path reads the incrementally maintained procsAt/resLoad —
+// and both runs must pass CheckInvariants, which is where the reference
+// core's per-step heap check reports.
 func TestDifferentialMonitor(t *testing.T) {
 	w := diffWorld(t)
 	var mons [2]*recordingMonitor
 	for mode, ref := range []bool{false, true} {
 		eng := NewEngine(w, 7)
-		eng.SetReference(ref)
+		setReference(eng, ref)
 		eng.SetShards(4) // a monitor forces the serial path; must be a no-op
 		mon := &recordingMonitor{}
 		eng.SetMonitor(mon)
@@ -326,6 +330,9 @@ func TestDifferentialMonitor(t *testing.T) {
 			})
 		}
 		if _, err := eng.Run(); err != nil {
+			t.Fatalf("ref=%v: %v", ref, err)
+		}
+		if err := eng.CheckInvariants(); err != nil {
 			t.Fatalf("ref=%v: %v", ref, err)
 		}
 		mons[mode] = mon
@@ -386,7 +393,7 @@ func FuzzEngineSchedules(f *testing.F) {
 		var out [3][]byte
 		for mode, ref := range []bool{false, true, false} {
 			eng := NewEngine(w, seed)
-			eng.SetReference(ref)
+			setReference(eng, ref)
 			if mode == 2 {
 				eng.SetShards(2 + int(uint64(seed)&3))
 			}

@@ -1,15 +1,15 @@
 package simulate
 
-// dirty.go implements the optimized event core's incremental fair-share
-// resolution: events mark the endpoints and resources they perturb, and
-// resolve() re-solves only the resource-sharing components reachable from
-// dirty resources, reusing engine-owned scratch. The reference core
-// (refResolve, engine.go) re-solves everything from scratch; differential
-// tests pin the two to byte-identical logs (DESIGN.md §9).
+// dirty.go implements the event core's incremental fair-share resolution:
+// events mark the endpoints and resources they perturb, and resolve()
+// re-solves only the resource-sharing components reachable from dirty
+// resources, reusing engine-owned scratch. The reference core in
+// refcore_test.go re-solves everything from scratch; differential tests
+// pin the two to byte-identical logs (DESIGN.md §9).
 
 // ensureResState grows the per-resource engine state (load, membership,
-// dirty flags, union-find scratch) to cover lazily created WAN resources.
-// Growth appends zeros so incrementally maintained values survive.
+// dirty flags) to cover lazily created WAN resources. Growth appends zeros
+// so incrementally maintained values survive.
 func (e *Engine) ensureResState() {
 	n := len(e.resources)
 	for len(e.resLoad) < n {
@@ -18,10 +18,6 @@ func (e *Engine) ensureResState() {
 	}
 	for len(e.resDirty) < n {
 		e.resDirty = append(e.resDirty, false)
-	}
-	for len(e.ufParent) < n {
-		e.ufParent = append(e.ufParent, 0)
-		e.compID = append(e.compID, 0)
 	}
 }
 
@@ -50,9 +46,12 @@ func (e *Engine) dirtyProcs(ep int) {
 }
 
 // markFreed flags an endpoint that released a slot (completion, outage
-// abort, or outage end) for the next waiting-queue probe. Flags accumulate
-// across events until startWaiting runs — an abort frees slots without an
-// immediate probe, and the probe must not miss it later.
+// abort, or outage end) for the next waiting-queue probe. Every release is
+// probed within the same event (processEvents after completions,
+// processChaos after outage starts and ends), so no flag outlives its
+// event: a flag left for a later, unrelated event would start a waiting
+// transfer at a time set by another component, which the sharded driver
+// cannot reproduce.
 func (e *Engine) markFreed(ep int) {
 	if !e.freedMark[ep] {
 		e.freedMark[ep] = true
@@ -63,9 +62,9 @@ func (e *Engine) markFreed(ep int) {
 // incResolve is the incremental resolver: refresh CPU-contention capacity
 // for dirtied endpoints, re-solve each resource-sharing component reachable
 // from a dirty resource, then redraw fault deadlines. Untouched components
-// keep their stored rates and deadlines — which are bitwise what the
-// reference core would recompute, since a component's solve depends only on
-// its own members and capacities.
+// keep their stored rates and deadlines — which are bitwise what a
+// from-scratch solve would recompute, since a component's solve depends
+// only on its own members and capacities.
 func (e *Engine) incResolve() {
 	for _, i := range e.dirtyEps {
 		e.epDirty[i] = false
@@ -98,10 +97,9 @@ func (e *Engine) incResolve() {
 		e.dirtyRes = e.dirtyRes[:0]
 	}
 
-	// Fault deadlines depend on utilization everywhere, and the RNG-stream
-	// contract requires one draw per data-phase transfer per resolve — so
-	// when faults are enabled at all, redraw globally exactly as the
-	// reference does. With a zero base hazard neither core ever draws.
+	// Fault deadlines depend on utilization everywhere, so when faults are
+	// enabled at all, redraw globally exactly as a from-scratch resolve
+	// does. With a zero base hazard no transfer ever draws.
 	if e.w.FaultBaseHazard > 0 {
 		e.redrawFaults()
 	}
@@ -154,8 +152,8 @@ func (e *Engine) solveDirtyComponent(seed int) {
 // startWaitingIndexed probes only the per-endpoint waiting queues of
 // endpoints that freed a slot since the last probe. Each queue is already
 // in waitSeq (FIFO) order, so the probe k-way-merges the queue heads and
-// admits with live slot checks — the exact admission sequence of the
-// reference full scan. Two prunings keep the probe sublinear in queue
+// admits with live slot checks — the exact admission sequence of a full
+// FIFO scan. Two prunings keep the probe sublinear in queue
 // length, both sound because slots only shrink while admitting:
 //   - a transfer outside the probe set still has an endpoint whose slots
 //     have not freed since it was last rejected, so the full scan would
@@ -216,19 +214,24 @@ func (e *Engine) startWaitingIndexed() {
 		// second encounter is a no-op (started → skipped as a tombstone,
 		// rejected → rejected again, since slots never grow mid-round).
 		if e.hasSlot(bx.srcIdx) && e.hasSlot(bx.dstIdx) {
-			bx.inWaiting = false
-			e.waitLive--
-			e.epWaitDead[bx.srcIdx]++
-			if bx.dstIdx != bx.srcIdx {
-				e.epWaitDead[bx.dstIdx]++
-			}
-			e.start(bx)
+			e.startWaiter(bx)
 		}
 	}
 	e.probeQs = qs[:0] // drop the entry references, keep capacity
 	e.probeEps = eps
 	e.probePos = pos
 	e.compactWaiting()
+}
+
+// startWaiter starts a waiting transfer, tombstoning its queue entries.
+func (e *Engine) startWaiter(x *xfer) {
+	x.inWaiting = false
+	e.waitLive--
+	e.epWaitDead[x.srcIdx]++
+	if x.dstIdx != x.srcIdx {
+		e.epWaitDead[x.dstIdx]++
+	}
+	e.start(x)
 }
 
 // live reports whether a queue entry still denotes a waiting transfer: the

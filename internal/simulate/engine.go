@@ -78,8 +78,7 @@ type resource struct {
 
 	// Sharing-graph state for the incremental resolver: the data-phase
 	// transfers currently drawing on this resource (maintained by
-	// enterData/leaveData, unused on the reference path), and a BFS mark
-	// for component discovery.
+	// enterData/leaveData), and a BFS mark for component discovery.
 	members []*xfer
 	visited bool
 }
@@ -121,8 +120,8 @@ type xfer struct {
 	// Event-core bookkeeping (see DESIGN.md §9). doneAt is the stable
 	// completion deadline: recomputed only when the resolved rate changes
 	// (prevRate) or the transfer re-enters the data phase (needDeadline),
-	// so untouched components keep bitwise-identical deadlines between the
-	// reference and incremental paths.
+	// so a component the incremental resolver leaves untouched keeps the
+	// bitwise deadline a from-scratch solve would re-derive.
 	doneAt       float64
 	prevRate     float64
 	needDeadline bool
@@ -205,29 +204,21 @@ type Engine struct {
 	// cached per-interval snapshot for the monitor
 	snapshot []EndpointLoad
 
-	// ref selects the reference event core: linear-scan nextEventTime and
-	// from-scratch fair-share resolution. The optimized core (indexed heaps
-	// + dirty-component resolution) is the default; both produce
-	// byte-identical logs (DESIGN.md §9).
-	ref bool
+	// ref is a test seam, nil in production: the reference event core
+	// that the differential tests substitute at the three decision points
+	// (see referenceCore).
+	ref referenceCore
 
-	// Solver scratch shared by both cores, reused across events.
-	procsAt      []float64 // per-endpoint GridFTP process count, maintained incrementally
-	procsScratch []float64 // reference-path from-scratch recompute buffer
-	dataBuf      []*xfer   // reference gather buffer
-	compBuf      []*xfer   // per-event component transfer storage
-	compRes      []int     // per-event component resource storage (BFS queue)
-	compUsed     []int     // per-scope used-resource list, first-touch order
-	xcompBuf     []int     // reference: per-transfer component id
-	compCounts   []int     // reference: component sizes
-	compOffsets  []int     // reference: component scatter offsets
-	ufParent     []int     // reference: union-find over resources
-	compID       []int     // reference: dense component id per root resource
+	// Solver scratch, reused across events.
+	procsAt  []float64 // per-endpoint GridFTP process count, maintained incrementally
+	compBuf  []*xfer   // per-event component transfer storage
+	compRes  []int     // per-event component resource storage (BFS queue)
+	compUsed []int     // per-scope used-resource list, first-touch order
 
-	// Optimized event-core state.
+	// Event-core state.
 	xferHeap     indexedHeap // per-transfer deadline: phaseEnd or doneAt, keyed by xfer id
 	bgHeap       indexedHeap // per-endpoint background resample, keyed by endpoint index
-	chainHeap    indexedHeap // per-chain next start, keyed by chain index
+	chainHeap    indexedHeap // per-chain next start, keyed by chain index; absent while one is in flight
 	minFault     float64     // min over active data-phase nextFault (redrawn each resolve)
 	minRetryAt   float64     // min over retryQ retryAt
 	actSeq       int
@@ -243,7 +234,7 @@ type Engine struct {
 	probeQs      [][]waitEntry
 	probeEps     []int
 	probePos     []int
-	waitLive     int       // non-tombstoned entries in waiting (optimized core)
+	waitLive     int       // non-tombstoned entries in waiting
 	wanList      []int     // WAN resource indices in creation order (deterministic iteration)
 	utilMemo     []float64 // per-endpoint utilization, memoized per fault redraw
 	utilStamp    []uint64
@@ -511,13 +502,16 @@ func (e *Engine) RunContext(ctx context.Context) (*logs.Log, error) {
 			len(e.retryQ) == 0 && e.chainsDone() {
 			break // all work drained; ignore perpetual background events
 		}
-		tNext := e.nextEventTime()
-		if math.IsInf(tNext, 1) {
+		// Background resamples never stop, so they cannot tell a wedged
+		// run from a live one: only the work events can.
+		tWork := e.workEventTime()
+		if math.IsInf(tWork, 1) {
 			if len(e.active) > 0 || e.waitingLen() > 0 || len(e.retryQ) > 0 {
 				return nil, &DeadlockError{State: e.DebugState()}
 			}
 			break
 		}
+		tNext := e.nextEventTime(tWork)
 		if e.monitor != nil && tNext > e.now {
 			e.monitor.OnInterval(e.now, tNext, e.snapshot)
 		}
@@ -566,28 +560,30 @@ func (e *Engine) assignStamps() {
 // OnInterval observes the global clock. Must be called before Run.
 func (e *Engine) SetShards(n int) { e.shards = n }
 
-// SetReference switches the engine to its reference event core: the
-// linear-scan nextEventTime and from-scratch fair-share resolution that the
-// optimized indexed-heap/incremental-component path is differentially
-// tested against. Both cores produce byte-identical logs; the reference
-// core is O(events × actives) and exists as the golden oracle. Must be
-// called before Run.
-func (e *Engine) SetReference(on bool) { e.ref = on }
+// referenceCore is the test seam for the reference event core: the
+// linear-scan next-event time, from-scratch fair-share resolution and full
+// FIFO waiting scan that the differential tests hold the production core
+// to, byte for byte (DESIGN.md §9). It is nil in production; the
+// implementation lives in refcore_test.go. The heap, dirty-set and
+// waiting-queue bookkeeping runs either way, so the reference core can
+// check it at every step. Sharded runs hand the same value to every
+// sub-engine, so an implementation must keep no mutable state.
+type referenceCore interface {
+	workEventTime(e *Engine) float64
+	resolve(e *Engine)
+	startWaiting(e *Engine)
+}
 
-// initRun sizes the engine-owned scratch and, on the optimized core, seeds
-// the event heaps from the initial schedule.
+// initRun sizes the engine-owned scratch and seeds the event heaps from
+// the initial schedule.
 func (e *Engine) initRun() {
 	nEp := len(e.w.Endpoints)
 	e.minFault = math.Inf(1)
 	e.minRetryAt = math.Inf(1)
 	e.procsAt = make([]float64, nEp)
-	e.procsScratch = make([]float64, nEp)
 	e.utilMemo = make([]float64, nEp)
 	e.utilStamp = make([]uint64, nEp)
 	e.ensureResState()
-	if e.ref {
-		return
-	}
 	e.epDirty = make([]bool, nEp)
 	e.freedMark = make([]bool, nEp)
 	e.epWaiting = make([][]waitEntry, nEp)
@@ -600,15 +596,9 @@ func (e *Engine) initRun() {
 	}
 }
 
-// waitingLen is the number of live waiting transfers. The optimized core
-// tombstones started entries (compacting lazily), so len(e.waiting) counts
-// dead slots there.
-func (e *Engine) waitingLen() int {
-	if e.ref {
-		return len(e.waiting)
-	}
-	return e.waitLive
-}
+// waitingLen is the number of live waiting transfers. Started entries are
+// tombstoned and compacted lazily, so len(e.waiting) counts dead slots.
+func (e *Engine) waitingLen() int { return e.waitLive }
 
 // SetMonitor attaches a load monitor (may be nil).
 func (e *Engine) SetMonitor(m Monitor) { e.monitor = m }
@@ -642,19 +632,12 @@ func (e *Engine) chainsDone() bool {
 	return true
 }
 
-// nextEventTime returns the time of the earliest upcoming event. The
-// reference core scans every event source; the optimized core reads the
-// heap minima and two scalar mins. Both compute the minimum of the same
-// candidate multiset, so they return the same value; only the TIME is
-// consumed — which sources fire at it is decided structurally by
+// nextEventTime returns the time of the earliest upcoming event, given
+// the earliest work event: background resamples join here. Only the TIME
+// is consumed — which sources fire at it is decided structurally by
 // processEvents (the tie-break contract, DESIGN.md §9).
-func (e *Engine) nextEventTime() float64 {
-	var t float64
-	if e.ref {
-		t = e.refNextEventTime()
-	} else {
-		t = e.optNextEventTime()
-	}
+func (e *Engine) nextEventTime(tWork float64) float64 {
+	t := math.Min(tWork, e.bgHeap.min())
 	if t < e.now {
 		if t < e.now-1e-6 {
 			e.violate(fmt.Sprintf("clock regression: next event at %.9g before now=%.9g", t, e.now))
@@ -664,42 +647,22 @@ func (e *Engine) nextEventTime() float64 {
 	return t
 }
 
-// refNextEventTime scans all event sources for the earliest upcoming event.
-func (e *Engine) refNextEventTime() float64 {
-	t := math.Inf(1)
-	if e.nextPending < len(e.pending) {
-		t = math.Min(t, e.pending[e.nextPending].Start)
+// workEventTime returns the time of the earliest upcoming event that can
+// move work forward: an arrival, chain start, transfer deadline, fault,
+// chaos boundary or retry — every source but the background resamples.
+func (e *Engine) workEventTime() float64 {
+	if e.ref != nil {
+		return e.ref.workEventTime(e)
 	}
-	for _, ch := range e.chains {
-		t = math.Min(t, ch.nextStart)
-	}
-	for _, x := range e.active {
-		switch x.phase {
-		case phaseSetup, phaseStall:
-			t = math.Min(t, x.phaseEnd)
-		case phaseData:
-			t = math.Min(t, x.doneAt)
-			t = math.Min(t, x.nextFault)
-		}
-	}
-	for i := range e.bgNext {
-		t = math.Min(t, e.bgNext[i])
-	}
-	if e.nextChaos < len(e.chaosEvents) {
-		t = math.Min(t, e.chaosEvents[e.nextChaos].t)
-	}
-	for _, x := range e.retryQ {
-		t = math.Min(t, x.retryAt)
-	}
-	return t
+	return e.heapWorkEventTime()
 }
 
-// optNextEventTime reads the same candidate set from the indexed heaps:
-// xferHeap keys are phaseEnd (setup/stall) or doneAt (data), bgHeap keys
-// are bgNext, chainHeap keys are nextStart; fault and retry minima are
-// maintained as scalars (redrawFaults recomputes every fault deadline each
-// resolve anyway, and the retry queue rebuilds its min whenever it drains).
-func (e *Engine) optNextEventTime() float64 {
+// heapWorkEventTime reads the work sources from the indexed heaps:
+// xferHeap keys are phaseEnd (setup/stall) or doneAt (data), chainHeap
+// keys are nextStart; fault and retry minima are maintained as scalars
+// (redrawFaults recomputes every fault deadline each resolve anyway, and
+// the retry queue rebuilds its min whenever it drains).
+func (e *Engine) heapWorkEventTime() float64 {
 	t := math.Inf(1)
 	if e.nextPending < len(e.pending) {
 		t = e.pending[e.nextPending].Start
@@ -707,7 +670,6 @@ func (e *Engine) optNextEventTime() float64 {
 	t = math.Min(t, e.chainHeap.min())
 	t = math.Min(t, e.xferHeap.min())
 	t = math.Min(t, e.minFault)
-	t = math.Min(t, e.bgHeap.min())
 	if e.nextChaos < len(e.chaosEvents) {
 		t = math.Min(t, e.chaosEvents[e.nextChaos].t)
 	}
@@ -738,16 +700,15 @@ const completeEpsMB = 1e-4
 // processEvents handles every event due at the current time: chaos
 // boundaries, arrivals, retries, phase transitions, faults, completions,
 // background changes. The fixed block order below IS the tie-break rule
-// for simultaneous events — both cores run this same code, with the
-// optimized core skipping whole blocks only when its heap minimum proves
-// no entry is due (which cannot change which entries fire).
+// for simultaneous events; a block is skipped only when its heap minimum
+// proves no entry is due (which cannot change which entries fire).
 func (e *Engine) processEvents() {
 	// Chaos boundaries first: an outage lifting at this instant frees slots
 	// for arrivals and retries processed below.
 	e.processChaos()
 
 	// Retries whose backoff has elapsed re-enter the queue.
-	if len(e.retryQ) > 0 && (e.ref || e.minRetryAt <= e.now+timeEps) {
+	if len(e.retryQ) > 0 && e.minRetryAt <= e.now+timeEps {
 		keep := e.retryQ[:0]
 		min := math.Inf(1)
 		for _, x := range e.retryQ {
@@ -773,29 +734,30 @@ func (e *Engine) processEvents() {
 		e.admit(e.pending[e.nextPending], 0)
 		e.nextPending++
 	}
-	// Chain arrivals.
-	if len(e.chains) > 0 && (e.ref || e.chainHeap.min() <= e.now+timeEps) {
+	// Chain arrivals. A due chain admits its next spec, if any, and leaves
+	// the heap until a completion or abandonment schedules it again.
+	if e.chainHeap.min() <= e.now+timeEps {
 		for ci, ch := range e.chains {
-			if ch.nextStart <= e.now+timeEps && ch.next < len(ch.specs) {
+			if ch.nextStart > e.now+timeEps {
+				continue
+			}
+			if ch.next < len(ch.specs) {
 				e.admit(ch.specs[ch.next], ci+1)
 				ch.next++
-				e.setChainNext(ch, ci, math.Inf(1))
-			} else if ch.nextStart <= e.now+timeEps {
-				e.setChainNext(ch, ci, math.Inf(1))
 			}
+			ch.nextStart = math.Inf(1)
+			e.chainHeap.remove(ci)
 		}
 	}
 
 	// Background level changes. Each endpoint draws from its own stream,
 	// so the visit order only matters per endpoint.
-	if e.ref || e.bgHeap.min() <= e.now+timeEps {
+	if e.bgHeap.min() <= e.now+timeEps {
 		for i, ep := range e.w.Endpoints {
 			if e.bgNext[i] <= e.now+timeEps {
 				e.resampleBg(i, ep)
 				e.bgNext[i] = e.expSample(i, ep.Bg.MeanInterval)
-				if !e.ref {
-					e.bgHeap.update(i, e.bgNext[i])
-				}
+				e.bgHeap.update(i, e.bgNext[i])
 			}
 		}
 	}
@@ -823,11 +785,9 @@ func (e *Engine) processEvents() {
 				} else {
 					// Residual payload above completeEpsMB at the stored
 					// deadline (float rounding): reschedule at the rate in
-					// force. Identical arithmetic on both cores.
+					// force.
 					x.doneAt = e.now + x.bytesMB/x.rate
-					if !e.ref {
-						e.xferHeap.update(x.id, x.doneAt)
-					}
+					e.xferHeap.update(x.id, x.doneAt)
 					keep = append(keep, x)
 				}
 			case x.nextFault <= e.now+timeEps:
@@ -839,9 +799,7 @@ func (e *Engine) processEvents() {
 				x.phase = phaseStall
 				x.phaseEnd = e.now + e.w.FaultRetry
 				x.nextFault = math.Inf(1)
-				if !e.ref {
-					e.xferHeap.update(x.id, x.phaseEnd)
-				}
+				e.xferHeap.update(x.id, x.phaseEnd)
 				keep = append(keep, x)
 			default:
 				keep = append(keep, x)
@@ -880,12 +838,11 @@ func (e *Engine) processChaos() {
 		switch ev.kind {
 		case ceOutageStart:
 			e.beginOutage(ev.outage)
+			freed = true // aborts release their partner endpoints' slots
 		case ceOutageEnd:
 			idx := e.epIndex(ev.outage.EndpointID)
 			e.epDown[idx]--
-			if !e.ref {
-				e.markFreed(idx)
-			}
+			e.markFreed(idx)
 			freed = true
 		case ceWANStart:
 			e.activeWAN = append(e.activeWAN, ev.wan)
@@ -903,11 +860,9 @@ func (e *Engine) processChaos() {
 	}
 	if changedWAN {
 		e.refreshWANCaps()
-		if !e.ref {
-			// Every WAN capacity may have moved; re-solve their components.
-			for _, ri := range e.wanList {
-				e.dirtyResource(ri)
-			}
+		// Every WAN capacity may have moved; re-solve their components.
+		for _, ri := range e.wanList {
+			e.dirtyResource(ri)
 		}
 	}
 	if changedStorm {
@@ -970,9 +925,7 @@ func (e *Engine) beginOutage(o *OutageEvent) {
 			x.phaseEnd = o.End
 		}
 		x.nextFault = math.Inf(1)
-		if !e.ref {
-			e.xferHeap.update(x.id, x.phaseEnd)
-		}
+		e.xferHeap.update(x.id, x.phaseEnd)
 		keep = append(keep, x)
 	}
 	e.active = keep
@@ -1018,47 +971,33 @@ func (e *Engine) scheduleRetry(x *xfer) {
 	}
 }
 
-// setChainNext updates a chain's next-start time, mirroring it into the
-// chain heap on the optimized core.
+// setChainNext schedules a chain's next start, putting the chain back
+// into the chain heap.
 func (e *Engine) setChainNext(ch *chain, ci int, t float64) {
 	ch.nextStart = t
-	if !e.ref {
-		e.chainHeap.update(ci, t)
-	}
+	e.chainHeap.update(ci, t)
 }
 
 // startWaiting starts queued transfers, in FIFO order, whose endpoints now
-// have free slots. The reference core scans the whole queue; the optimized
-// core probes only the per-endpoint queues of endpoints that freed a slot
-// since the last probe (every other waiting transfer still has at least
-// one blocked endpoint, so the full scan could not have started it).
+// have free slots. It probes only the per-endpoint queues of endpoints
+// that freed a slot since the last probe (every other waiting transfer
+// still has at least one blocked endpoint, so a full FIFO scan could not
+// have started it).
 func (e *Engine) startWaiting() {
-	if !e.ref {
-		e.startWaitingIndexed()
+	if e.ref != nil {
+		e.ref.startWaiting(e)
 		return
 	}
-	keep := e.waiting[:0]
-	for _, x := range e.waiting {
-		if e.hasSlot(x.srcIdx) && e.hasSlot(x.dstIdx) {
-			x.inWaiting = false
-			e.start(x)
-		} else {
-			keep = append(keep, x)
-		}
-	}
-	e.waiting = keep
+	e.startWaitingIndexed()
 }
 
-// pushWaiting appends a transfer to the FIFO waiting queue and, on the
-// optimized core, to the per-endpoint queues used by startWaitingIndexed.
+// pushWaiting appends a transfer to the FIFO waiting queue and to the
+// per-endpoint queues used by startWaitingIndexed.
 func (e *Engine) pushWaiting(x *xfer) {
 	x.inWaiting = true
 	x.waitSeq = e.waitSeq
 	e.waitSeq++
 	e.waiting = append(e.waiting, x)
-	if e.ref {
-		return
-	}
 	e.waitLive++
 	en := waitEntry{x, x.waitSeq}
 	e.epWaiting[x.srcIdx] = append(e.epWaiting[x.srcIdx], en)
@@ -1096,27 +1035,21 @@ func (e *Engine) start(x *xfer) {
 	x.actSeq = e.actSeq
 	e.actSeq++
 	e.active = append(e.active, x)
-	if e.ref {
-		return
-	}
 	e.dirtyProcs(x.srcIdx)
 	e.dirtyProcs(x.dstIdx)
 	e.xferHeap.update(x.id, x.phaseEnd)
 }
 
 // releaseSlots returns a departing transfer's endpoint slots and processes
-// (completion or outage abort), and on the optimized core drops its heap
-// entry, dirties the CPU-contention state, and flags its endpoints for the
-// next waiting-queue probe.
+// (completion or outage abort), drops its heap entry, dirties the
+// CPU-contention state, and flags its endpoints for the next waiting-queue
+// probe.
 func (e *Engine) releaseSlots(x *xfer) {
 	e.epActive[x.srcIdx]--
 	e.epActive[x.dstIdx]--
 	e.procsAt[x.srcIdx] -= float64(x.procs)
 	if x.dstIdx != x.srcIdx {
 		e.procsAt[x.dstIdx] -= float64(x.procs)
-	}
-	if e.ref {
-		return
 	}
 	e.dirtyProcs(x.srcIdx)
 	e.dirtyProcs(x.dstIdx)
@@ -1125,18 +1058,15 @@ func (e *Engine) releaseSlots(x *xfer) {
 	e.markFreed(x.dstIdx)
 }
 
-// enterData moves a transfer from setup/stall into the data phase; on the
-// optimized core it joins the sharing graph and dirties its resources so
-// the next resolve re-solves its component. The completion deadline is
-// recomputed at that resolve (needDeadline).
+// enterData moves a transfer from setup/stall into the data phase: it
+// joins the sharing graph and dirties its resources so the next resolve
+// re-solves its component. The completion deadline is recomputed at that
+// resolve (needDeadline).
 func (e *Engine) enterData(x *xfer) {
 	x.phase = phaseData
 	x.needDeadline = true
 	x.needFault = true
 	x.lastAdv = e.now
-	if e.ref {
-		return
-	}
 	for k, ri := range x.resIdx {
 		r := e.resources[ri]
 		x.memberPos[k] = len(r.members)
@@ -1149,9 +1079,6 @@ func (e *Engine) enterData(x *xfer) {
 // remove against each resource's member list) and dirties its resources.
 // Callers must ensure x is in the data phase.
 func (e *Engine) leaveData(x *xfer) {
-	if e.ref {
-		return
-	}
 	for k, ri := range x.resIdx {
 		r := e.resources[ri]
 		p := x.memberPos[k]
@@ -1283,9 +1210,7 @@ func (e *Engine) resampleBg(i int, ep *Endpoint) {
 		r := e.resources[ri]
 		u := e.epRng[i].Float64()
 		r.bgFrac = ep.Bg.MaxFrac * u * u
-		if !e.ref {
-			e.dirtyResource(ri)
-		}
+		e.dirtyResource(ri)
 	}
 }
 
@@ -1318,140 +1243,18 @@ func (e *Engine) complete(x *xfer) {
 
 // resolve recomputes data-phase transfer rates via weighted progressive
 // filling (weighted max-min fairness with per-transfer demand ceilings),
-// then refreshes fault schedules and the monitor snapshot. Both cores
-// solve one resource-sharing component at a time, over the component's
-// transfers in activation order — components are disjoint, so the solve is
-// float-exact regardless of which other components are (re)solved — which
-// is what lets the incremental core re-solve only dirty components and
-// still match the reference bit for bit.
+// then refreshes fault schedules and the monitor snapshot. It solves one
+// resource-sharing component at a time, over the component's transfers in
+// activation order — components are disjoint, so the solve is float-exact
+// regardless of which other components are (re)solved — which is what lets
+// the incremental resolver (incResolve) re-solve only dirty components and
+// still match a from-scratch solve bit for bit.
 func (e *Engine) resolve() {
-	if e.ref {
-		e.refResolve()
-	} else {
-		e.incResolve()
+	if e.ref != nil {
+		e.ref.resolve(e)
+		return
 	}
-}
-
-// refResolve is the reference resolver: CPU-contention multipliers,
-// component partition, and per-component solve, all from scratch.
-func (e *Engine) refResolve() {
-	// CPU-contention multipliers: GridFTP processes at each endpoint,
-	// recomputed into an engine-owned buffer.
-	procs := e.procsScratch
-	for i := range procs {
-		procs[i] = 0
-	}
-	for _, x := range e.active {
-		procs[x.srcIdx] += float64(x.procs)
-		if x.dstIdx != x.srcIdx {
-			procs[x.dstIdx] += float64(x.procs)
-		}
-	}
-	for i, ep := range e.w.Endpoints {
-		eff := ep.cpuEff(procs[i])
-		rd := e.resources[e.epResource(i, resDiskRead)]
-		rd.effCap = rd.cap * eff
-		wr := e.resources[e.epResource(i, resDiskWrite)]
-		wr.effCap = wr.cap * eff
-	}
-
-	e.ensureResState()
-	// Per-resource transfer load, rebuilt from scratch: zero everything,
-	// then let each component's commit accumulate its members.
-	for i := range e.resLoad {
-		e.resLoad[i] = 0
-		e.resMembers[i] = 0
-	}
-
-	data := e.dataBuf[:0]
-	for _, x := range e.active {
-		if x.phase == phaseData {
-			data = append(data, x)
-		}
-	}
-	e.dataBuf = data
-	if len(data) > 0 {
-		e.refSolveComponents(data)
-	}
-
-	e.redrawFaults()
-	if e.monitor != nil {
-		e.refreshSnapshot(procs)
-	}
-}
-
-// refSolveComponents partitions the data-phase transfers into resource-
-// sharing components (union-find over resource indices, dense component
-// ids in first-appearance order, stable counting scatter) and solves each
-// component in isolation. The scatter preserves activation order within a
-// component — the summation order the incremental core reproduces.
-func (e *Engine) refSolveComponents(data []*xfer) {
-	for _, x := range data {
-		for _, ri := range x.resIdx {
-			e.ufParent[ri] = ri
-		}
-	}
-	for _, x := range data {
-		root := e.ufFind(x.resIdx[0])
-		for _, ri := range x.resIdx[1:] {
-			r := e.ufFind(ri)
-			if r != root {
-				e.ufParent[r] = root
-			}
-		}
-	}
-	for _, x := range data {
-		e.compID[e.ufFind(x.resIdx[0])] = -1
-	}
-	counts := e.compCounts[:0]
-	xcomp := e.xcompBuf[:0]
-	for _, x := range data {
-		root := e.ufFind(x.resIdx[0])
-		id := e.compID[root]
-		if id < 0 {
-			id = len(counts)
-			e.compID[root] = id
-			counts = append(counts, 0)
-		}
-		counts[id]++
-		xcomp = append(xcomp, id)
-	}
-	offsets := e.compOffsets[:0]
-	total := 0
-	for _, c := range counts {
-		offsets = append(offsets, total)
-		total += c
-	}
-	if cap(e.compBuf) < len(data) {
-		e.compBuf = make([]*xfer, len(data))
-	}
-	buf := e.compBuf[:len(data)]
-	for i, x := range data {
-		id := xcomp[i]
-		buf[offsets[id]] = x
-		offsets[id]++
-	}
-	start := 0
-	for _, c := range counts {
-		comp := buf[start : start+c]
-		start += c
-		used := e.initScope(comp, e.compUsed[:0])
-		e.solveScope(comp, used)
-		e.commitScope(comp, used)
-		e.compUsed = used
-	}
-	e.compCounts = counts
-	e.xcompBuf = xcomp
-	e.compOffsets = offsets
-}
-
-// ufFind is iterative find with path halving over ufParent.
-func (e *Engine) ufFind(i int) int {
-	for e.ufParent[i] != i {
-		e.ufParent[i] = e.ufParent[e.ufParent[i]]
-		i = e.ufParent[i]
-	}
-	return i
+	e.incResolve()
 }
 
 // initScope prepares one solver scope: stashes each transfer's previous
@@ -1570,11 +1373,11 @@ func (e *Engine) commitScope(data []*xfer, used []int) {
 		}
 		// Stable completion deadline: recompute only when the resolved
 		// rate moved or the transfer (re-)entered the data phase, so a
-		// component left untouched by the incremental core keeps the exact
-		// deadline the reference core re-derives. The payload advances to
-		// now at the outgoing rate first — these are exactly the rate-
-		// change points of the transfer's own component, so the bytesMB
-		// float trajectory is shard-invariant (see advancePayload).
+		// component left untouched by the incremental resolver keeps the
+		// exact deadline a from-scratch solve re-derives. The payload
+		// advances to now at the outgoing rate first — these are exactly
+		// the rate-change points of the transfer's own component, so the
+		// bytesMB float trajectory is shard-invariant (see advancePayload).
 		if x.needDeadline || x.rate != x.prevRate {
 			x.needDeadline = false
 			if dt := e.now - x.lastAdv; dt > 0 {
@@ -1585,9 +1388,7 @@ func (e *Engine) commitScope(data []*xfer, used []int) {
 			}
 			x.lastAdv = e.now
 			x.doneAt = e.now + x.bytesMB/x.rate
-			if !e.ref {
-				e.xferHeap.update(x.id, x.doneAt)
-			}
+			e.xferHeap.update(x.id, x.doneAt)
 		}
 	}
 	// Capacity conservation: the fair-share solver must never hand a
@@ -1604,7 +1405,7 @@ func (e *Engine) commitScope(data []*xfer, used []int) {
 }
 
 // redrawFaults refreshes fault deadlines for active data-phase transfers
-// and recomputes the scalar fault minimum for optNextEventTime. A
+// and recomputes the scalar fault minimum for heapWorkEventTime. A
 // transfer draws from its private stream only when its hazard actually
 // moved since the last draw (or it just entered the data phase); an
 // unchanged hazard keeps the standing deadline, which by exponential
@@ -1612,8 +1413,8 @@ func (e *Engine) commitScope(data []*xfer, used []int) {
 // also makes draw points component-local: the hazard is a function of
 // the transfer's own endpoints' utilization and the broadcast storm
 // multiplier, so a shard redraws at exactly the serial engine's times.
-// The incremental core skips the call when World.FaultBaseHazard is
-// zero: no transfer can ever have a finite deadline then.
+// incResolve skips the call when World.FaultBaseHazard is zero: no
+// transfer can ever have a finite deadline then.
 func (e *Engine) redrawFaults() {
 	e.minFault = math.Inf(1)
 	e.utilRound++
@@ -1711,8 +1512,9 @@ func (e *Engine) refreshSnapshot(procsAt []float64) {
 }
 
 // DebugState renders a snapshot of engine progress for diagnosing stalls:
-// current time, queue depths, endpoints currently down, and the first few
-// live transfers from each queue.
+// current time, queue depths, endpoints currently down, the invariant
+// violations recorded so far, and the first few live transfers from each
+// queue.
 func (e *Engine) DebugState() string {
 	s := fmt.Sprintf("now=%.1f pending=%d/%d active=%d waiting=%d retrying=%d logged=%d abandoned=%d\n",
 		e.now, e.nextPending, len(e.pending), len(e.active), e.waitingLen(), len(e.retryQ),
@@ -1721,6 +1523,9 @@ func (e *Engine) DebugState() string {
 		if down > 0 {
 			s += fmt.Sprintf("  endpoint %s DOWN (depth %d)\n", e.w.Endpoints[i].ID, down)
 		}
+	}
+	for _, v := range e.violations {
+		s += "  violation: " + v + "\n"
 	}
 	dump := func(label string, xs []*xfer) string {
 		out := ""
@@ -1735,15 +1540,11 @@ func (e *Engine) DebugState() string {
 		return out
 	}
 	s += dump("active", e.active)
-	// The optimized core tombstones started entries in e.waiting; show only
-	// live ones.
-	wait := e.waiting
-	if !e.ref {
-		wait = nil
-		for _, x := range e.waiting {
-			if x.inWaiting {
-				wait = append(wait, x)
-			}
+	// Started entries stay in e.waiting as tombstones; show only live ones.
+	var wait []*xfer
+	for _, x := range e.waiting {
+		if x.inWaiting {
+			wait = append(wait, x)
 		}
 	}
 	s += dump("waiting", wait)

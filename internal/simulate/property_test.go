@@ -79,7 +79,7 @@ func TestPropertyRandomWorlds(t *testing.T) {
 					t.Fatal(err)
 				}
 				eng := NewEngine(g.World, cfg.Seed+1)
-				eng.SetReference(ref)
+				setReference(eng, ref)
 				eng.SetShards(shards)
 				eng.SetObs(reg)
 				eng.Submit(g.Specs...)
@@ -104,6 +104,7 @@ func TestPropertyRandomWorlds(t *testing.T) {
 			}
 
 			plain, plainStats := runOnce(nil, false, 1)
+			checkEngineDigest(t, plain, plainStats)
 			reg := obs.NewRegistry()
 			instrumented, _ := runOnce(reg, false, 1)
 			if !bytes.Equal(plain, instrumented) {

@@ -10,7 +10,7 @@ package simulate
 // driver below unions endpoints over the submitted specs, runs one
 // sub-engine per component on up to Shards internal/pool workers, and
 // merges the sorted sub-logs in one linear pass. Byte-identity with the
-// serial engine rests on three invariants kept elsewhere:
+// serial engine rests on four invariants kept elsewhere:
 //
 //   - every RNG draw comes from a per-entity stream keyed by stable
 //     identity (prng.go), never from engine-global state;
@@ -19,7 +19,10 @@ package simulate
 //   - record IDs are global submission stamps assigned before
 //     partitioning (assignStamps), so (Ts, ID) totally orders the merged
 //     records and merging the sorted sub-logs reproduces the serial log
-//     byte for byte.
+//     byte for byte;
+//   - every slot release is probed for waiting transfers within the
+//     event that made it (markFreed), so no admission waits on an event
+//     of another component.
 //
 // Chaos routing: outages are endpoint-scoped and go only to the
 // sub-engine owning that endpoint; WAN faults and storms broadcast to
