@@ -185,34 +185,15 @@ func BenchmarkFig9To12(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Headline trains models on several edges and reports the
-// aggregate MdAPE comparison (the paper's 7.0% vs 4.6% headline).
-func BenchmarkFig11Headline(b *testing.B) {
-	p, edges := benchPipeline(b)
-	n := len(edges)
-	if n > 4 {
-		n = 4
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := p.EvaluateEdges(edges[:n])
-		if err != nil {
-			b.Fatal(err)
-		}
-		logOncePerBench(b, core.RenderFig11(results))
-	}
-}
-
 // BenchmarkFig11HeadlineBinned is the Fig. 11 path `wanperf models`
-// actually runs: every study edge's models, trained with 256-bin
-// histogram split search (the CLI default).
+// runs: every study edge's models, trained at 256 bins (the CLI
+// default), with the aggregate MdAPE comparison (the paper's 7.0% vs
+// 4.6% headline).
 func BenchmarkFig11HeadlineBinned(b *testing.B) {
 	p, edges := benchPipeline(b)
-	bp := *p
-	bp.GBTBins = 256
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := bp.EvaluateEdges(edges)
+		results, err := p.EvaluateEdges(edges)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -551,26 +532,8 @@ func BenchmarkFeatureEngineering(b *testing.B) {
 	}
 }
 
-// BenchmarkGBTTrain measures nonlinear model training on one edge.
-func BenchmarkGBTTrain(b *testing.B) {
-	p, edges := benchPipeline(b)
-	vecs := p.VectorsAt(edges[0].Qualifying)
-	ds, err := features.Dataset(vecs, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gbt.Train(ds, gbt.DefaultParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGBTTrainHist measures histogram-binned training (Bins: 256)
-// on the same single-edge workload as BenchmarkGBTTrain, so the two
-// benchmarks compare the histogram and exact presorted split searches
-// directly.
+// BenchmarkGBTTrainHist measures boosted-tree training at 256 bins on
+// one edge's feature matrix.
 func BenchmarkGBTTrainHist(b *testing.B) {
 	p, edges := benchPipeline(b)
 	vecs := p.VectorsAt(edges[0].Qualifying)

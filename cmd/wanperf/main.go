@@ -26,8 +26,8 @@
 //	-in FILE          convert: input log (CSV or columnar, sniffed)
 //	-to FMT           convert: target format (default: opposite of input)
 //	-intensities LIST for chaos: comma-separated fault intensities
-//	-gbt-bins N       histogram bins for boosted-tree training (default 256;
-//	                  0 = exact presorted split search)
+//	-gbt-bins N       histogram bins for boosted-tree training, 2..256
+//	                  (default 256)
 //	-metrics FILE     write engine/model/pool metrics as JSON
 //	-trace FILE       write hierarchical phase spans as JSON
 //	-pprof ADDR       serve net/http/pprof on ADDR (e.g. localhost:6060)
@@ -71,6 +71,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/logs/colfmt"
+	"repro/internal/ml/dataset"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/serve"
@@ -313,7 +314,7 @@ func finishObs(opts options, o *obs.Obs) error {
 type options struct {
 	out         string
 	intensities []float64
-	gbtBins     int    // histogram bins for GBT training (0 = exact search)
+	gbtBins     int    // histogram bins for GBT training (2..256)
 	metrics     string // JSON metrics output path ("" = disabled)
 	trace       string // JSON trace output path ("" = disabled)
 	pprofAddr   string // pprof listen address ("" = disabled)
@@ -361,7 +362,7 @@ func parseArgs(args []string) (cmd string, cfg simulate.Config, opts options, er
 	intensities := fs.String("intensities", "0,0.5,1,2,4",
 		"comma-separated fault intensities for the chaos sweep")
 	gbtBins := fs.Int("gbt-bins", 256,
-		"histogram bins for boosted-tree training (0 = exact presorted search)")
+		"histogram bins for boosted-tree training (2..256)")
 	metrics := fs.String("metrics", "", "write metrics JSON to this path")
 	trace := fs.String("trace", "", "write trace-span JSON to this path")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address")
@@ -394,8 +395,8 @@ func parseArgs(args []string) (cmd string, cfg simulate.Config, opts options, er
 		return "", cfg, opts, fmt.Errorf("%w: -shards must be non-negative", errUsage)
 	}
 	cfg.Shards = *shards
-	if *gbtBins < 0 || *gbtBins > 256 {
-		return "", cfg, opts, fmt.Errorf("%w: -gbt-bins must be 0..256", errUsage)
+	if *gbtBins < 2 || *gbtBins > dataset.MaxBins {
+		return "", cfg, opts, fmt.Errorf("%w: -gbt-bins must be 2..%d", errUsage, dataset.MaxBins)
 	}
 	if *format != "csv" && *format != "columnar" {
 		return "", cfg, opts, fmt.Errorf("%w: -format must be csv or columnar, got %q", errUsage, *format)

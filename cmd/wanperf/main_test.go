@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/chaos"
@@ -129,6 +130,31 @@ func TestObsFlagsParsed(t *testing.T) {
 	}
 	if opts.metrics != "m.json" || opts.trace != "t.json" || opts.pprofAddr != "localhost:0" {
 		t.Errorf("obs flags not parsed: %+v", opts)
+	}
+}
+
+// TestGBTBinsFlag pins -gbt-bins to the trainer's 2..256 range: anything
+// else is a usage error at parse time, before any simulation runs.
+func TestGBTBinsFlag(t *testing.T) {
+	for _, c := range []struct {
+		value string
+		ok    bool
+	}{
+		{"-1", false}, {"0", false}, {"1", false}, {"257", false},
+		{"2", true}, {"64", true}, {"256", true},
+	} {
+		_, _, opts, err := parseArgs([]string{"models", "-gbt-bins", c.value})
+		if !c.ok {
+			if !errors.Is(err, errUsage) {
+				t.Errorf("-gbt-bins %s: got %v, want usage error", c.value, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-gbt-bins %s: %v", c.value, err)
+		} else if got := strconv.Itoa(opts.gbtBins); got != c.value {
+			t.Errorf("-gbt-bins %s parsed as %s", c.value, got)
+		}
 	}
 }
 

@@ -22,9 +22,6 @@ func cmdStream(c cmdContext) error {
 	if c.opts.registry == "" {
 		return fmt.Errorf("%w: stream requires -registry FILE (where promotions land)", errUsage)
 	}
-	if c.opts.gbtBins <= 0 {
-		return fmt.Errorf("%w: stream retrains incrementally and needs -gbt-bins > 0", errUsage)
-	}
 
 	format := c.opts.logFormat
 	if format == "auto" {

@@ -34,7 +34,7 @@ func TestStreamCommandFlags(t *testing.T) {
 		t.Errorf("negative -window: %v, want usage error", err)
 	}
 
-	// Missing -in / -registry / binned training are usage errors.
+	// Missing -in / -registry are usage errors.
 	base := options{gbtBins: 256, logFormat: "auto"}
 	err = run(context.Background(), "stream", simulateConfigForTest(), base, nil)
 	if !errors.Is(err, errUsage) {
@@ -45,13 +45,6 @@ func TestStreamCommandFlags(t *testing.T) {
 	err = run(context.Background(), "stream", simulateConfigForTest(), withIn, nil)
 	if !errors.Is(err, errUsage) {
 		t.Errorf("stream without -registry: %v, want usage error", err)
-	}
-	exact := withIn
-	exact.registry = "r.json"
-	exact.gbtBins = 0
-	err = run(context.Background(), "stream", simulateConfigForTest(), exact, nil)
-	if !errors.Is(err, errUsage) {
-		t.Errorf("stream with -gbt-bins 0: %v, want usage error", err)
 	}
 }
 

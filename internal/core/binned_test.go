@@ -4,65 +4,43 @@ import (
 	"encoding/json"
 	"math"
 	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// The committed golden figures in golden_small.json are produced by the
-// exact presorted GBT path (GBTBins = 0, the pipeline default). The
-// histogram path is deliberately not bit-identical to it — features with
-// more than 256 distinct values lose split candidates to quantization —
-// so the binned pipeline gets its own golden file, held to the same
-// tolerances, plus an explicit bound on how far it may sit from the
-// exact path's figures.
-
-const goldenBinnedPath = "testdata/golden_small_binned.json"
+// exactGoldenPath holds the golden figures the exact greedy GBT search
+// produced on the small world before training was always binned. Nothing
+// in production can regenerate it; it stays as read-only reference data
+// for the histogram trainer's experiment-level tolerance contract.
+const exactGoldenPath = "testdata/golden_small.json"
 
 // histMdAPETol bounds how far a per-edge histogram XGB MdAPE may sit from
-// the exact path's committed value, in percentage points. It absorbs the
-// quantile-coarsening wobble on edges whose training sets exceed 256
-// distinct values per feature; drift beyond it means the histogram path
-// is no longer a faithful approximation of the exact search.
+// the exact search's committed value, in percentage points. It absorbs
+// the quantile-coarsening wobble on edges whose training sets exceed 256
+// distinct values per feature; drift beyond it means the histogram
+// trainer is no longer a faithful approximation of the exact search.
 const histMdAPETol = 0.5
 
-func computeGoldenBinned(t *testing.T) goldenFile {
-	t.Helper()
+// TestGoldenFiguresBinned runs the golden-figure harness on a copy of the
+// fixture pipeline with GBTBins set explicitly to 256. The knob's default
+// (0) must resolve to the same quantization, so the run must reproduce the
+// default fixture's figures exactly and hold the committed golden figures
+// within the usual tolerances.
+func TestGoldenFiguresBinned(t *testing.T) {
 	p, edges := smallPipeline(t)
-	// Shallow copy: the binned variant shares the simulated world and
-	// observability sink, differing only in the quantization knob. The
-	// fixture pipeline itself must stay exact for the other tests.
+	// Shallow copy: the variant shares the simulated world and
+	// observability sink, differing only in the quantization knob.
 	bp := *p
 	bp.GBTBins = 256
-	g := computeGoldenFrom(t, &bp, edges)
-	g.Config = "simulate.SmallConfig() seed 42, GBTBins 256"
-	return g
-}
+	got := computeGoldenFrom(t, &bp, edges)
 
-// TestGoldenFiguresBinned runs the full golden-figure harness on the
-// histogram pipeline against its own committed figures: every value must
-// hold within the same tolerances the exact path is held to. Regenerate
-// deliberately with:
-//
-//	go test ./internal/core/ -run TestGoldenFiguresBinned -update
-func TestGoldenFiguresBinned(t *testing.T) {
-	got := computeGoldenBinned(t)
-	if *update {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenBinnedPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenBinnedPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", goldenBinnedPath)
-		return
+	if def := computeGolden(t); !reflect.DeepEqual(got, def) {
+		t.Errorf("GBTBins 256 figures differ from the default pipeline's:\n got %+v\nwant %+v", got, def)
 	}
-	b, err := os.ReadFile(goldenBinnedPath)
+
+	b, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatal(err)
 	}
 	var want goldenFile
 	if err := json.Unmarshal(b, &want); err != nil {
@@ -71,27 +49,22 @@ func TestGoldenFiguresBinned(t *testing.T) {
 	for _, p := range diffGolden(want, got) {
 		t.Error(p)
 	}
-	if t.Failed() {
-		t.Log("histogram-binned pipeline drifted from its committed golden" +
-			" figures; if intentional, regenerate with -update and explain in the PR")
-	}
 }
 
 // TestBinnedTracksExactPerEdge pins the histogram-vs-exact tolerance
 // contract at the experiment level: on the golden small world, every
-// edge's binned XGB MdAPE stays within histMdAPETol of the exact path's
-// committed value (the exact path is deterministic, so the committed
-// figures ARE its output).
+// edge's XGB MdAPE stays within histMdAPETol of the exact search's
+// committed value.
 func TestBinnedTracksExactPerEdge(t *testing.T) {
-	b, err := os.ReadFile(goldenPath)
+	b, err := os.ReadFile(exactGoldenPath)
 	if err != nil {
-		t.Fatalf("%v (run TestGoldenFigures with -update to create it)", err)
+		t.Fatal(err)
 	}
 	var want goldenFile
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}
-	got := computeGoldenBinned(t)
+	got := computeGolden(t)
 	if len(got.Edges) != len(want.Edges) {
 		t.Fatalf("edge count %d, golden has %d", len(got.Edges), len(want.Edges))
 	}

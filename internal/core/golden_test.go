@@ -16,10 +16,10 @@ import (
 // feature engineering, or the model families that shifts the numbers is
 // caught at review time. Regenerate deliberately with:
 //
-//	go test ./internal/core/ -run TestGoldenFigures -update
-var update = flag.Bool("update", false, "regenerate testdata/golden_small.json")
+//	go test ./internal/core/ -run 'TestGoldenFigures$' -update
+var update = flag.Bool("update", false, "regenerate testdata/golden_small_binned.json")
 
-const goldenPath = "testdata/golden_small.json"
+const goldenPath = "testdata/golden_small_binned.json"
 
 // mdapeTol is the allowed drift in percentage points. Wide enough to absorb
 // cross-platform floating-point wobble, narrow enough that perturbing any
@@ -52,6 +52,8 @@ type goldenFile struct {
 	Global      goldenGlobal `json:"global"`
 }
 
+// computeGolden runs the golden experiments on the small-world fixture,
+// whose boosted trees train at the default 256 bins.
 func computeGolden(t *testing.T) goldenFile {
 	t.Helper()
 	p, edges := smallPipeline(t)
@@ -59,15 +61,15 @@ func computeGolden(t *testing.T) goldenFile {
 }
 
 // computeGoldenFrom runs the golden experiments on an explicit pipeline,
-// so variant configurations (e.g. histogram-binned training) can be
-// checked against the same committed figures.
+// so variant configurations of the fixture can be checked against the
+// same committed figures.
 func computeGoldenFrom(t *testing.T, p *Pipeline, edges []EdgeData) goldenFile {
 	t.Helper()
 	results, err := p.EvaluateEdges(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := goldenFile{Config: "simulate.SmallConfig() seed 42"}
+	g := goldenFile{Config: "simulate.SmallConfig() seed 42, GBTBins 256"}
 	g.HeadlineLin, g.HeadlineXGB = HeadlineMdAPE(results)
 	for _, r := range results {
 		g.Edges = append(g.Edges, goldenEdge{
@@ -80,7 +82,7 @@ func computeGoldenFrom(t *testing.T, p *Pipeline, edges []EdgeData) goldenFile {
 		t.Fatal(err)
 	}
 	g.Global = goldenGlobal{
-		Samples: gr.Samples,
+		Samples:  gr.Samples,
 		LinMdAPE: gr.LinMdAPE, XGBMdAPE: gr.XGBMdAPE,
 		LinR2: gr.LinR2, XGBR2: gr.XGBR2,
 	}

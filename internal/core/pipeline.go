@@ -29,13 +29,10 @@ type Pipeline struct {
 	// nil — the default from Run/RunContext — disables it entirely.
 	Obs *obs.Obs
 
-	// GBTBins switches every boosted-tree fit the experiments run
-	// (EvaluateEdges, GlobalModel, Ablate, Fig13, TunedModels) to
-	// histogram-binned training with the given quantization level
-	// (gbt.Params.Bins). 0 — the default — keeps the exact presorted
-	// path, so no caller is opted in implicitly; the wanperf CLI sets
-	// 256, and the golden harness pins that the binned figures stay
-	// within the exact path's tolerances.
+	// GBTBins is the histogram quantization level (gbt.Params.Bins,
+	// 2..256) of every boosted-tree fit the pipeline's experiments run
+	// (EvaluateEdges, GlobalModel, Ablate, Fig13, TunedModels). 0 — the
+	// default — means 256, what the wanperf CLI trains with.
 	GBTBins int
 }
 

@@ -60,9 +60,7 @@ func (p *Pipeline) TunedModels(edges []EdgeData, maxEdges int) ([]TunedRow, erro
 		// The pipeline's quantization knob applies to every candidate, so
 		// the whole grid shares one binned matrix (tune's binning cache).
 		grid := tune.DefaultGrid()
-		if p.GBTBins > 0 {
-			grid.Bins = []int{p.GBTBins}
-		}
+		grid.Bins = []int{p.GBTBins}
 		model, res, err := tune.TrainBest(train, grid, 3, seed)
 		if err != nil {
 			return nil, err

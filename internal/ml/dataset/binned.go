@@ -40,10 +40,10 @@ type Binned struct {
 	// Hi[f][b] are the smallest and largest raw values of feature f that
 	// map to bin b. The split search uses them to place raw-space
 	// thresholds at the midpoint between the values neighbouring a split —
-	// the exact presorted search's threshold rule — instead of at a bin
+	// the exact greedy search's threshold rule — instead of at a bin
 	// edge. When a feature has at most maxBins distinct values each bin
 	// holds exactly one (Lo == Hi) and the histogram thresholds reproduce
-	// the exact path's bit for bit.
+	// the exact search's bit for bit.
 	Lo [][]float64
 	Hi [][]float64
 }
@@ -51,7 +51,7 @@ type Binned struct {
 // Bin quantizes d into at most maxBins bins per feature (2..MaxBins).
 // Columns with at most maxBins distinct values get one bin per distinct
 // value with midpoint cuts — identical candidate thresholds to the exact
-// presorted search; wider columns get quantile cut points so every bin
+// greedy search; wider columns get quantile cut points so every bin
 // holds roughly equal mass. Bin is deterministic in d.
 func Bin(d *Dataset, maxBins int) (*Binned, error) {
 	if d.Len() == 0 {

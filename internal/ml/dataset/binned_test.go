@@ -101,7 +101,7 @@ func TestBinCodeMatchesCuts(t *testing.T) {
 
 // TestBinFewDistinctMatchesExactCandidates checks that a column with at
 // most maxBins distinct values gets exactly the adjacent-midpoint cut set
-// the exact presorted search would consider.
+// the exact greedy search would consider.
 func TestBinFewDistinctMatchesExactCandidates(t *testing.T) {
 	d := randomDataset(t, 200, 1, 4)
 	for i := range d.X {

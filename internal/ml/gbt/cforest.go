@@ -10,7 +10,8 @@ import (
 )
 
 // ErrNoCodeSpace is returned by the code-space prediction entry points
-// when the model has no code forest: it was trained exact (Bins = 0), or
+// when the model has no code forest: it was loaded from a file that
+// records no cut points (written before training was always binned), or
 // a split threshold does not sit exactly on a stored bin edge so the
 // builder refused the rewrite (see buildCodeForest). Callers fall back to
 // the float path — the code path never silently diverges.
@@ -307,7 +308,7 @@ func (c *cforest) predictCols(cols [][]uint8, first int, out []float64, base flo
 func (m *Model) CodeSpace() bool { return m.code != nil }
 
 // Quantizer returns a row quantizer over the model's stored cut points,
-// or nil for exact-trained models. The quantizer is the input-side half
+// or nil for a model loaded without them. The quantizer is the input-side half
 // of the code path: quantize once, predict many. Built once per
 // model with the uniform-grid acceleration tables (the model serves for
 // its lifetime, so the table build amortizes to nothing) and shared by

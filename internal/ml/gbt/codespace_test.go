@@ -165,15 +165,14 @@ func TestCodeSpaceThresholdsOnBinEdges(t *testing.T) {
 	}
 }
 
-// TestCodeSpaceExactModelRefused: exact-trained models (Bins = 0) have no
-// cut points, so the code path must report itself unavailable through
-// every entry point while the float path keeps working.
+// TestCodeSpaceExactModelRefused: exact-trained models (the reference
+// trainer's, and those in files written before training was always
+// binned) have no cut points, so the code path must report itself
+// unavailable through every entry point while the float path keeps
+// working.
 func TestCodeSpaceExactModelRefused(t *testing.T) {
 	d := makeDataset(t, 200, 51, func(x []float64) float64 { return 2 * x[0] }, 0.1, 2)
-	m, err := Train(d, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := trainReference(d, DefaultParams())
 	if m.CodeSpace() {
 		t.Fatal("exact-trained model claims a code forest")
 	}
@@ -386,10 +385,7 @@ func TestPredictCodesDenseValidation(t *testing.T) {
 		t.Errorf("ragged quantize slab: got %v, want ErrShape", err)
 	}
 	exact := makeDataset(t, 80, 74, func(x []float64) float64 { return x[0] }, 0.1, 2)
-	me, err := Train(exact, Params{Rounds: 3, LearningRate: 0.3, MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	me := trainReference(exact, Params{Rounds: 3, LearningRate: 0.3, MaxDepth: 2})
 	if me.CodeSpace() {
 		t.Fatal("exact-trained model unexpectedly has a code forest")
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // Committed model digests: the SHA-256 of the serialized model for a set
-// of seeded training runs, histogram and exact (Bins: 0). Any change to a
-// trainer that alters a single threshold, weight or gain bit changes a
+// of seeded training runs of the trainer and of the exact reference
+// (trainReference). Any change to a trainer that alters a single threshold, weight or gain bit changes a
 // digest, so a performance rewrite of the split search is held to
 // bit-identity here, in tier-1, rather than by end-to-end benchmark
 // goldens. The histogram datasets are sparse in bin space (n well below
@@ -55,6 +55,16 @@ func digestCases() []digestCase {
 			return m
 		}
 	}
+	exact := func(mk func(*testing.T) *dataset.Dataset, edit func(*Params)) func(*testing.T) *Model {
+		return func(t *testing.T) *Model {
+			p := DefaultParams()
+			p.Rounds = 60
+			if edit != nil {
+				edit(&p)
+			}
+			return trainReference(mk(t), p)
+		}
+	}
 	return []digestCase{
 		{"default_rows0.9", train(sparse, nil)},
 		{"rows0.5", train(sparse, func(p *Params) { p.SubsampleRows = 0.5 })},
@@ -82,10 +92,9 @@ func digestCases() []digestCase {
 			}
 			return m
 		}},
-		{"exact_rows0.9", train(sparse, func(p *Params) { p.Bins = 0 })},
-		{"exact_nosubsample", train(sparse, func(p *Params) { p.Bins = 0; p.SubsampleRows = 1 })},
-		{"exact_ties_rows0.6_cols0.5", train(ties, func(p *Params) {
-			p.Bins = 0
+		{"exact_rows0.9", exact(sparse, nil)},
+		{"exact_nosubsample", exact(sparse, func(p *Params) { p.SubsampleRows = 1 })},
+		{"exact_ties_rows0.6_cols0.5", exact(ties, func(p *Params) {
 			p.SubsampleRows = 0.6
 			p.SubsampleCols = 0.5
 		})},
@@ -107,8 +116,8 @@ func digestCases() []digestCase {
 	}
 }
 
-// TestHistModelDigests pins the histogram and exact trainers' output bit
-// for bit.
+// TestHistModelDigests pins the trainer's and the exact reference's
+// output bit for bit.
 func TestHistModelDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range digestCases() {

@@ -1,35 +1,74 @@
 package gbt
 
-// Golden-equivalence tests: the presorted, bitmap-partitioned, parallel
-// split search must produce bit-identical ensembles to the naive
-// reference finder (refGrow, below) — same feature, threshold, weight, and
-// gain at every node, same importances, same predictions. Not "close":
-// equal.
+// The exact greedy reference trainer: every feature, every cut point,
+// found by sorting each node's rows. Production trains only over
+// histograms (hist.go); this oracle is what the tolerance tests
+// (TestHistTracksExact, TestHistMatchesExactOnNarrowData), the
+// code-space refusal tests and the exact_* model digests compare against.
 
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/ml/dataset"
 )
 
-// trainReference trains an exact model with refGrow growing every tree,
-// installed through testHookGrow for the duration of the call.
-func trainReference(d *dataset.Dataset, p Params) (*Model, error) {
-	testHookGrow = func(b *builder, w *flatWriter, rows, cols []int, grad, hess []float64) {
-		b.refGrow(w, rows, cols, grad, hess, 0)
+// refTrainer holds the training matrix and filled parameters the
+// reference split finder reads.
+type refTrainer struct {
+	x [][]float64
+	p Params
+}
+
+// trainReference fits an exact greedy ensemble on d: the same boosting
+// loop and subsampling draws as the production trainer, with refGrow
+// growing every tree over raw feature values. Its models record no bins
+// or cuts, like the files exact-trained builds wrote.
+func trainReference(d *dataset.Dataset, p Params) *Model {
+	p.fillDefaults()
+	rng := rand.New(rand.NewSource(p.Seed))
+	n, nf := d.Len(), d.NumFeatures()
+	base := 0.0
+	for _, y := range d.Y {
+		base += y
 	}
-	defer func() { testHookGrow = nil }()
-	p.Bins = 0
-	return Train(d, p)
+	base /= float64(n)
+	pred := make([]float64, n)
+	for i := range pred {
+		pred[i] = base
+	}
+	m := &Model{Base: base, Names: append([]string(nil), d.Names...), params: p}
+	grad := make([]float64, n)
+	r := &refTrainer{x: d.X, p: p}
+	allRows, allCols := identity(n), identity(nf)
+	var rowSample, colSample subsampler
+	for round := 0; round < p.Rounds; round++ {
+		for i := range grad {
+			grad[i] = pred[i] - d.Y[i]
+		}
+		rows, cols := allRows, allCols
+		if p.SubsampleRows < 1 {
+			rows = rowSample.draw(n, p.SubsampleRows, rng)
+		}
+		if p.SubsampleCols < 1 {
+			cols = colSample.draw(nf, p.SubsampleCols, rng)
+		}
+		var w flatWriter
+		r.refGrow(&w, rows, cols, grad, 0)
+		t := tree{nodes: w.nodes}
+		m.trees = append(m.trees, t)
+		for i, row := range d.X {
+			pred[i] += t.predict(row)
+		}
+	}
+	m.buildFlat()
+	return m
 }
 
 // equivDataset builds a seeded dataset; quantize > 0 snaps feature values
-// onto a coarse grid so that columns are riddled with exact ties, the
-// case where an unstable candidate order would diverge first.
+// onto a coarse grid so that columns are riddled with exact ties.
 func equivDataset(t *testing.T, n, p int, seed int64, quantize float64) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -58,124 +97,13 @@ func equivDataset(t *testing.T, n, p int, seed int64, quantize float64) *dataset
 	return d
 }
 
-// assertModelsIdentical compares two ensembles structurally, field by
-// field, and fails on the first differing node.
-func assertModelsIdentical(t *testing.T, got, want *Model) {
-	t.Helper()
-	if got.Base != want.Base {
-		t.Fatalf("Base differs: %v vs %v", got.Base, want.Base)
-	}
-	if len(got.trees) != len(want.trees) {
-		t.Fatalf("tree count differs: %d vs %d", len(got.trees), len(want.trees))
-	}
-	for ti := range got.trees {
-		g, w := got.trees[ti].nodes, want.trees[ti].nodes
-		if len(g) != len(w) {
-			t.Fatalf("tree %d: node count %d vs %d", ti, len(g), len(w))
-		}
-		for ni := range g {
-			if g[ni] != w[ni] {
-				t.Fatalf("tree %d node %d differs:\noptimized: %+v\nreference: %+v", ti, ni, g[ni], w[ni])
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.Importance(), want.Importance()) {
-		t.Fatalf("importances differ:\noptimized: %v\nreference: %v", got.Importance(), want.Importance())
-	}
-}
-
-func TestOptimizedMatchesReference(t *testing.T) {
-	cases := []struct {
-		name     string
-		n, p     int
-		seed     int64
-		quantize float64
-		mutate   func(*Params)
-	}{
-		{name: "continuous defaults", n: 400, p: 6, seed: 1},
-		{name: "heavy ties", n: 400, p: 5, seed: 2, quantize: 2.0},
-		{name: "all ties one column", n: 300, p: 4, seed: 3, quantize: 10.0},
-		{name: "no subsampling", n: 350, p: 5, seed: 4, mutate: func(p *Params) {
-			p.SubsampleRows = 1
-			p.SubsampleCols = 1
-		}},
-		{name: "row and column subsampling", n: 500, p: 8, seed: 5, mutate: func(p *Params) {
-			p.SubsampleRows = 0.6
-			p.SubsampleCols = 0.5
-		}},
-		{name: "deep trees", n: 300, p: 4, seed: 6, mutate: func(p *Params) { p.MaxDepth = 8 }},
-		{name: "gamma pruning", n: 300, p: 4, seed: 7, quantize: 1.0, mutate: func(p *Params) { p.Gamma = 0.5 }},
-		{name: "min child weight", n: 300, p: 4, seed: 8, mutate: func(p *Params) { p.MinChildWeight = 25 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := equivDataset(t, tc.n, tc.p, tc.seed, tc.quantize)
-			p := DefaultParams()
-			p.Rounds = 30
-			p.Seed = tc.seed * 11
-			if tc.mutate != nil {
-				tc.mutate(&p)
-			}
-			opt, err := Train(d, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := trainReference(d, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertModelsIdentical(t, opt, ref)
-
-			probe := equivDataset(t, 50, tc.p, tc.seed+1000, tc.quantize)
-			po, err := opt.PredictAll(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := ref.PredictAll(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range po {
-				if po[i] != pr[i] {
-					t.Fatalf("prediction %d differs: %v vs %v", i, po[i], pr[i])
-				}
-			}
-		})
-	}
-}
-
-// TestWorkerCountInvariance pins the determinism contract of the parallel
-// split search: any worker count yields the ensemble the serial scan does.
-func TestWorkerCountInvariance(t *testing.T) {
-	d := equivDataset(t, 400, 9, 77, 0.5)
-	base := DefaultParams()
-	base.Rounds = 25
-	var serial *Model
-	for _, workers := range []int{1, 2, 3, 8, 32} {
-		p := base
-		p.Workers = workers
-		m, err := Train(d, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial == nil {
-			serial = m
-			continue
-		}
-		assertModelsIdentical(t, m, serial)
-	}
-}
-
-// TestReferenceModeStillLearns guards the reference path itself against
+// TestReferenceModeStillLearns guards the reference trainer itself against
 // rot: it must remain a working trainer, not just dead weight.
 func TestReferenceModeStillLearns(t *testing.T) {
 	d := equivDataset(t, 400, 3, 13, 0)
 	p := DefaultParams()
 	p.Rounds = 40
-	m, err := trainReference(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := trainReference(d, p)
 	probe := make([]float64, 3)
 	probe[0] = 3
 	probe[2] = 1
@@ -188,28 +116,28 @@ func TestReferenceModeStillLearns(t *testing.T) {
 	}
 }
 
-// refGrow is the reference split finder: per-node sorting, exactly the
-// original O(rounds·nodes·features·n log n) algorithm, except that the
-// sort breaks feature-value ties by row index so that candidate
-// enumeration order — and therefore every floating-point accumulation —
-// is a deterministic total order shared with the presorted search. The
-// tests above assert both emit bit-identical trees.
-func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []float64, depth int) int32 {
-	var gSum, hSum float64
+// refGrow is the reference split finder: per-node sorting, the
+// O(rounds·nodes·features·n log n) exact greedy algorithm, with
+// feature-value ties broken by row index so that candidate enumeration
+// order — and therefore every floating-point accumulation — is a
+// deterministic total order. Hessians are 1 (squared loss), so hessian
+// sums are row counts.
+func (r *refTrainer) refGrow(w *flatWriter, rows []int, cols []int, grad []float64, depth int) int32 {
+	var gSum float64
 	for _, i := range rows {
 		gSum += grad[i]
-		hSum += hess[i]
 	}
-	if depth >= b.p.MaxDepth || len(rows) < 2 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+	hSum := float64(len(rows))
+	if depth >= r.p.MaxDepth || len(rows) < 2 {
+		return w.leaf(-gSum / (hSum + r.p.Lambda) * r.p.LearningRate)
 	}
 
 	bestGain := 0.0
 	bestFeat := -1
 	bestThresh := 0.0
-	parentScore := gSum * gSum / (hSum + b.p.Lambda)
+	parentScore := gSum * gSum / (hSum + r.p.Lambda)
 
-	x := b.x
+	x := r.x
 	order := make([]int, len(rows))
 	for _, f := range cols {
 		copy(order, rows)
@@ -223,19 +151,18 @@ func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []fl
 
 		var gl, hl float64
 		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			gl += grad[i]
-			hl += hess[i]
+			gl += grad[order[k]]
+			hl++
 			// Can't split between equal feature values.
 			if x[order[k]][f] == x[order[k+1]][f] {
 				continue
 			}
 			gr := gSum - gl
 			hr := hSum - hl
-			if hl < b.p.MinChildWeight || hr < b.p.MinChildWeight {
+			if hl < r.p.MinChildWeight || hr < r.p.MinChildWeight {
 				continue
 			}
-			gain := 0.5*(gl*gl/(hl+b.p.Lambda)+gr*gr/(hr+b.p.Lambda)-parentScore) - b.p.Gamma
+			gain := 0.5*(gl*gl/(hl+r.p.Lambda)+gr*gr/(hr+r.p.Lambda)-parentScore) - r.p.Gamma
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
@@ -245,7 +172,7 @@ func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []fl
 	}
 
 	if bestFeat < 0 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+		return w.leaf(-gSum / (hSum + r.p.Lambda) * r.p.LearningRate)
 	}
 
 	var leftRows, rightRows []int
@@ -257,11 +184,11 @@ func (b *builder) refGrow(w *flatWriter, rows []int, cols []int, grad, hess []fl
 		}
 	}
 	if len(leftRows) == 0 || len(rightRows) == 0 {
-		return w.leaf(-gSum / (hSum + b.p.Lambda) * b.p.LearningRate)
+		return w.leaf(-gSum / (hSum + r.p.Lambda) * r.p.LearningRate)
 	}
 	idx := w.reserve()
-	left := b.refGrow(w, leftRows, cols, grad, hess, depth+1)
-	right := b.refGrow(w, rightRows, cols, grad, hess, depth+1)
+	left := r.refGrow(w, leftRows, cols, grad, depth+1)
+	right := r.refGrow(w, rightRows, cols, grad, depth+1)
 	w.nodes[idx] = node{
 		feature:   int32(bestFeat),
 		threshold: bestThresh,

@@ -4,8 +4,8 @@
 // tree is fitted to the gradient of the loss on the current ensemble's
 // predictions, leaf weights are shrunk by a learning rate, and the
 // regularization terms λ (L2 on leaf weights) and γ (per-leaf penalty)
-// control complexity. Splits are found by the exact greedy algorithm:
-// every feature, every cut point, maximizing the structure-score gain
+// control complexity. Each split maximizes the structure-score gain over
+// every feature and every candidate cut point
 //
 //	gain = ½·[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ
 //
@@ -13,37 +13,25 @@
 // Feature importance is the total gain contributed by each feature across
 // all splits, averaged over trees — exactly the importance Figure 12 plots.
 //
-// # Performance
+// # Training
 //
-// The exact greedy search is implemented with per-feature presorting:
-// every feature column is argsorted once per Train (ties broken by row
-// index, so the order is a deterministic total order), and tree growth
-// partitions those sorted index lists against a left/right membership
-// bitmap instead of re-sorting at every node. Split scans across features
-// run on a bounded worker pool; the winning split is reduced in feature
-// order with a strict-improvement rule, so the lowest feature index wins
-// on equal gain no matter how many workers ran. Trees are flat arrays of
-// nodes in pre-order (the same layout the JSON serialization uses), which
-// keeps Predict's pointer chasing inside one cache-friendly slice.
-//
-// The naive per-node sorting search lives on as the equivalence tests'
-// reference finder: both searches visit candidate splits in the same
-// deterministic order and accumulate gradient sums in the same sequence,
-// so they produce bit-identical trees, predictions, and importances.
-//
-// A third path, selected with Params.Bins > 0, quantizes features into at
-// most 256 bins and searches splits over per-bin gradient histograms (see
-// hist.go), visiting only the bins a node's rows occupy: deterministic,
-// much faster, and within tolerance of — but not bit-identical to — the
-// exact search. Batch inference runs over a flat structure-of-arrays
-// forest with pool-parallel row batches (forest.go).
+// Train quantizes every feature once into at most Params.Bins quantile
+// bins (dataset.Bin) and grows trees over per-bin gradient histograms,
+// visiting only the bins a node's rows occupy (see hist.go) — the method
+// XGBoost calls "hist". It is the one trainer: deterministic for any
+// worker count, and within tolerance of — but not bit-identical to — the
+// exact greedy search over every cut point, which lives on only as the
+// tests' reference (equivalence_test.go). Trees are flat arrays of nodes
+// in pre-order (the same layout the JSON serialization uses), which keeps
+// Predict's pointer chasing inside one cache-friendly slice. Batch
+// inference runs over a flat structure-of-arrays forest with
+// pool-parallel row batches (forest.go).
 package gbt
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/ml/dataset"
 	"repro/internal/obs"
@@ -67,13 +55,10 @@ type Params struct {
 	Seed           int64   // RNG seed for subsampling
 	Workers        int     // split-search goroutines (0 = GOMAXPROCS)
 
-	// Bins selects the split-search algorithm. 0 (the default) is the
-	// exact presorted search, the golden reference path. 2..256 quantizes
-	// every feature into at most Bins quantile bins once per training run
-	// and searches splits over per-bin gradient histograms with the
-	// parent-minus-child subtraction trick (see hist.go) — the same
-	// trade XGBoost's hist method makes: typically >2x faster, results
-	// within tolerance of exact but not bit-identical to it.
+	// Bins is the quantization level, 2..256: every feature is mapped
+	// once per training run onto at most Bins quantile bins, and splits
+	// are searched over per-bin gradient histograms (see hist.go).
+	// 0 means dataset.MaxBins (256).
 	Bins int
 
 	// Metrics, when non-nil, receives training telemetry: trees built,
@@ -125,8 +110,8 @@ func (p *Params) fillDefaults() {
 	if p.Workers <= 0 {
 		p.Workers = pool.Workers()
 	}
-	if p.Bins < 0 {
-		p.Bins = 0
+	if p.Bins <= 0 {
+		p.Bins = dataset.MaxBins
 	}
 }
 
@@ -169,9 +154,10 @@ type Model struct {
 	code   *cforest // quantized layout for code-space inference (see cforest.go)
 	params Params
 
-	// Histogram-training provenance, persisted by Save so a binned model
+	// Histogram-training provenance, persisted by Save so a model
 	// round-trips: the quantization level and the per-feature cut points
-	// the trainer derived. Zero/nil for exact-trained models.
+	// the trainer derived. Zero/nil only for models loaded from files
+	// written before training was always binned.
 	bins int
 	cuts [][]float64
 
@@ -189,100 +175,20 @@ func (m *Model) buildQuantizer() {
 	}
 }
 
-// Bins reports the quantization level the model was trained with
-// (0 = exact presorted training).
+// Bins reports the quantization level the model was trained with (0 for
+// a model loaded from a file that records none).
 func (m *Model) Bins() int { return m.bins }
 
-// Train fits a boosted ensemble on d with parameters p. Bins > 0 selects
-// histogram-binned training: d is quantized once (dataset.Bin) and trees
-// grow over per-bin gradient histograms; Bins = 0 keeps the exact
-// presorted search.
+// Train fits a boosted ensemble on d with parameters p: d is quantized
+// once at p.Bins (dataset.Bin) and trees grow over per-bin gradient
+// histograms (TrainBinned).
 func Train(d *dataset.Dataset, p Params) (*Model, error) {
-	if p.Bins > 0 {
-		bd, err := dataset.Bin(d, p.Bins)
-		if err != nil {
-			return nil, err
-		}
-		return TrainBinned(bd, nil, p)
-	}
-	n := d.Len()
-	if n == 0 {
-		return nil, dataset.ErrEmpty
-	}
-	if d.NumFeatures() == 0 {
-		return nil, fmt.Errorf("gbt: no features")
-	}
 	p.fillDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-
-	base := 0.0
-	for _, y := range d.Y {
-		base += y
+	bd, err := dataset.Bin(d, p.Bins)
+	if err != nil {
+		return nil, err
 	}
-	base /= float64(n)
-
-	pred := make([]float64, n)
-	for i := range pred {
-		pred[i] = base
-	}
-
-	m := &Model{Base: base, Names: append([]string(nil), d.Names...), params: p}
-	grad := make([]float64, n)
-	hess := make([]float64, n)
-
-	b := newBuilder(d.X, d.NumFeatures(), p)
-
-	// With no subsampling the row/column identity lists are loop
-	// invariants: compute them once instead of once per round.
-	var allRows, allCols []int
-	if p.SubsampleRows >= 1 {
-		allRows = identity(n)
-	}
-	if p.SubsampleCols >= 1 {
-		allCols = identity(d.NumFeatures())
-	}
-	var rowSample, colSample subsampler
-
-	// Telemetry instruments; all nil (no-op) when p.Metrics is unset, so
-	// the only cost the uninstrumented path pays is the measure branch.
-	measure := p.Metrics != nil
-	treesBuilt := p.Metrics.Counter("gbt.trees_built")
-	splitNS := p.Metrics.Counter("gbt.split_search_ns")
-	treeMS := p.Metrics.Histogram("gbt.tree_build_ms", obs.ExpBuckets(0.25, 2, 14))
-
-	m.trees = make([]tree, 0, p.Rounds)
-	for round := 0; round < p.Rounds; round++ {
-		for i := range grad {
-			grad[i] = pred[i] - d.Y[i] // squared loss gradient
-			hess[i] = 1
-		}
-		rows := allRows
-		if rows == nil {
-			rows = rowSample.draw(n, p.SubsampleRows, rng)
-		}
-		cols := allCols
-		if cols == nil {
-			cols = colSample.draw(d.NumFeatures(), p.SubsampleCols, rng)
-		}
-		var t0 time.Time
-		if measure {
-			t0 = time.Now()
-		}
-		t := b.build(rows, cols, grad, hess)
-		if measure {
-			treeMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
-			treesBuilt.Inc()
-		}
-		m.trees = append(m.trees, t)
-		for i, row := range d.X {
-			pred[i] += t.predict(row)
-		}
-	}
-	if measure {
-		splitNS.Add(b.splitNS)
-	}
-	m.buildFlat()
-	return m, nil
+	return TrainBinned(bd, nil, p)
 }
 
 func identity(n int) []int {

@@ -12,11 +12,12 @@ import (
 	"repro/internal/pool"
 )
 
-// Histogram-binned training: the quantized split search real XGBoost-class
-// systems use. Each feature column is mapped once onto at most Params.Bins
-// integer codes (dataset.Bin); tree growth then accumulates one
-// gradient/hessian histogram per feature per node and searches splits over
-// bin boundaries instead of sorted rows. Three properties make it fast:
+// Histogram-binned training, the package's one trainer: the quantized
+// split search real XGBoost-class systems use. Each feature column is
+// mapped once onto at most Params.Bins integer codes (dataset.Bin); tree
+// growth then accumulates one gradient/hessian histogram per feature per
+// node and searches splits over bin boundaries instead of sorted rows.
+// Three properties make it fast:
 //
 //   - split search per node visits only the bins the node's rows occupy:
 //     each histogram carries a per-feature occupancy bitmap, and a bin
@@ -36,10 +37,10 @@ import (
 // accumulated feature-serially in row order, and the winning split is
 // reduced in ascending feature order with a strictly-greater rule — so the
 // same inputs always yield the same model regardless of worker count. It
-// is NOT bit-identical to the exact presorted path (Bins = 0): quantile
-// cuts coarsen candidate thresholds and the accumulation order differs, so
-// the two paths are related by the tolerance contract pinned in
-// hist_test.go, not by equality.
+// is NOT bit-identical to the exact greedy search the tests keep as their
+// reference (trainReference): quantile cuts coarsen candidate thresholds
+// and the accumulation order differs, so the two are related by the
+// tolerance contract pinned in hist_test.go, not by equality.
 
 // TrainBinned fits a boosted ensemble on the rows of bd listed in view
 // (nil = every row) with parameters p. The binned matrix is read-only and
@@ -77,10 +78,10 @@ func TrainBinned(bd *dataset.Binned, view []int, p Params) (*Model, error) {
 	return trainHist(bd, codes, y, p)
 }
 
-// trainHist is the histogram-path boosting loop: the same round structure
-// as the exact path, with tree construction delegated to histBuilder and
-// per-round prediction updates routed through the bin codes (code-space
-// and raw-space traversal agree exactly; see dataset.Binned).
+// trainHist is the boosting loop: tree construction is delegated to
+// histBuilder and per-round prediction updates are routed through the bin
+// codes (code-space and raw-space traversal agree exactly; see
+// dataset.Binned).
 func trainHist(bd *dataset.Binned, codes [][]uint8, y []float64, p Params) (*Model, error) {
 	return trainHistFrom(bd, codes, y, p, nil, nil)
 }
@@ -198,6 +199,22 @@ func binsOf(bd *dataset.Binned) int {
 		}
 	}
 	return max
+}
+
+// flatWriter accumulates a tree's nodes in pre-order.
+type flatWriter struct{ nodes []node }
+
+func (w *flatWriter) leaf(weight float64) int32 {
+	w.nodes = append(w.nodes, node{feature: -1, weight: weight})
+	return int32(len(w.nodes) - 1)
+}
+
+// reserve appends a placeholder for an internal node so that it precedes
+// its children in the array (pre-order); the caller fills it in once the
+// child indices are known.
+func (w *flatWriter) reserve() int32 {
+	w.nodes = append(w.nodes, node{})
+	return int32(len(w.nodes) - 1)
 }
 
 // histBuilder holds the per-training-run state of histogram tree growth.
@@ -410,7 +427,7 @@ func (hb *histBuilder) grow(rows []int32, cols []int, hist *histBuf, grad []floa
 // threshold converts the winning bin boundary into a raw-space threshold
 // and the code-space split bin the traversals use.
 //
-// The split bin m is located the way the exact presorted search would
+// The split bin m is located the way the exact greedy search would
 // place its cut: the node's neighbouring values are bracketed by the
 // occupied ranges of bin (its last non-empty left bin — empty bins never
 // win the scan) and of the first non-empty bin to its right, and m is the
@@ -430,7 +447,7 @@ func (hb *histBuilder) grow(rows []int32, cols []int, hist *histBuf, grad []floa
 // exhibited) now split at the bin edge instead of the node-local
 // midpoint. When every bin holds one distinct value the gap collapses and
 // the edge IS the exact search's midpoint, preserving bit-identity with
-// the exact path on narrow data.
+// the exact reference on narrow data.
 func (hb *histBuilder) threshold(hist []float64, f, bin int) (float64, int) {
 	off := 2 * hb.offsets[f]
 	right := bin + 1
@@ -526,7 +543,7 @@ type histSplit struct {
 
 // scanBins sweeps one feature's occupied bins left to right, accumulating
 // the left-child sums, and returns the maximal-gain boundary (earliest bin
-// on equal gain, strictly-greater updates — mirroring the exact path's
+// on equal gain, strictly-greater updates — mirroring the exact search's
 // rule). Skipping a clear bin cannot change the result: it would add
 // exact zeros to gl and hl, so its boundary has either the previous
 // boundary's gain, which a strictly-greater update never picks, or — when

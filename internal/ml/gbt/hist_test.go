@@ -84,8 +84,8 @@ func TestHistDeterministic(t *testing.T) {
 	}
 }
 
-// TestHistTracksExact pins the tolerance contract between the histogram
-// and exact paths: with 256 bins on a few-hundred-row dataset the
+// TestHistTracksExact pins the tolerance contract between the trainer and
+// the exact reference: with 256 bins on a few-hundred-row dataset the
 // candidate thresholds are nearly the exact search's, so held-out error
 // must match within a small margin (the paths are NOT bit-identical).
 func TestHistTracksExact(t *testing.T) {
@@ -94,10 +94,7 @@ func TestHistTracksExact(t *testing.T) {
 	}, 0.2, 3)
 	train, test := d.Split(0.75, 9)
 
-	exact, err := Train(train, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := trainReference(train, DefaultParams())
 	hist, err := Train(train, histParams(256))
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +108,8 @@ func TestHistTracksExact(t *testing.T) {
 	}
 }
 
-// TestTrainDispatchesToBinned checks Train(d, p) with Bins > 0 is exactly
-// TrainBinned over dataset.Bin(d) — the convenience path and the shared-
+// TestTrainDispatchesToBinned checks Train(d, p) is exactly TrainBinned
+// over dataset.Bin(d, p.Bins) — the convenience path and the shared-
 // cache path must be the same model, byte for byte.
 func TestTrainDispatchesToBinned(t *testing.T) {
 	d := makeDataset(t, 300, 33, func(x []float64) float64 { return x[0] - 2*x[1] }, 0.2, 3)
@@ -130,7 +127,7 @@ func TestTrainDispatchesToBinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(modelBytes(t, viaTrain), modelBytes(t, viaBinned)) {
-		t.Error("Train(Bins>0) and TrainBinned(bd, nil) built different models")
+		t.Error("Train and TrainBinned(bd, nil) built different models")
 	}
 }
 
@@ -290,10 +287,7 @@ func TestHistMatchesExactOnNarrowData(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.Rounds = 30
-	exact, err := Train(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := trainReference(d, p)
 	hp := histParams(256)
 	hp.Rounds = 30
 	hist, err := Train(d, hp)

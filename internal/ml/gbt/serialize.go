@@ -26,8 +26,8 @@ type jsonNode struct {
 
 // jsonModel is the serialized ensemble. Bins and Cuts record histogram
 // training provenance (Params.Bins and the per-feature quantile cut
-// points); both are absent for exact-trained models, so payloads written
-// before histogram training existed load unchanged.
+// points). Files written before training was always binned carry
+// neither; they still load, and serve through the float path only.
 type jsonModel struct {
 	Version int          `json:"version"`
 	Base    float64      `json:"base"`

@@ -22,8 +22,7 @@ func prevTreeCount(prev *Model) int {
 // a new window of data at a fraction of a cold retrain's cost — the
 // inherited trees keep what was learned, the new rounds correct it.
 //
-// The warm path requires histogram training (p.Bins > 0): d is quantized
-// fresh, so the new trees' thresholds live in the new window's bin space
+// d is quantized fresh at p.Bins, so the new trees' thresholds live in the new window's bin space
 // while the inherited trees keep their original raw-space thresholds —
 // Predict composes the two transparently. Feature names must match prev's
 // exactly. A nil or empty prev falls back to a cold Train.
@@ -40,12 +39,6 @@ func TrainWarm(d *dataset.Dataset, p Params, prev *Model) (*Model, error) {
 		}
 	}
 	p.fillDefaults()
-	if p.Bins <= 0 {
-		return nil, fmt.Errorf("gbt: warm start requires binned training (Bins > 0)")
-	}
-	if d.Len() == 0 {
-		return nil, dataset.ErrEmpty
-	}
 	bd, err := dataset.Bin(d, p.Bins)
 	if err != nil {
 		return nil, err

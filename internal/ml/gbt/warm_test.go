@@ -136,13 +136,6 @@ func TestTrainWarmValidation(t *testing.T) {
 		t.Fatalf("mismatched names accepted: %v", err)
 	}
 
-	// The warm path is histogram-only.
-	exact := warmParams(5)
-	exact.Bins = 0
-	if _, err := TrainWarm(d, exact, prev); err == nil || !strings.Contains(err.Error(), "Bins") {
-		t.Fatalf("exact-path warm start accepted: %v", err)
-	}
-
 	// Nil prev is a cold start, identical to Train.
 	cold, err := Train(d, warmParams(10))
 	if err != nil {

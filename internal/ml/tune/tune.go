@@ -22,12 +22,11 @@ var ErrTooFewSamples = errors.New("tune: too few samples for k-fold CV")
 // Grid is the hyperparameter search space: the cross product of the
 // listed values. Empty slices fall back to the default parameter value.
 //
-// Bins selects the gbt split-search algorithm per candidate (0 = exact
-// presorted, 2..256 = histogram-binned). It is usually a single value, not
-// a searched dimension: all candidates with the same Bins share one
-// dataset.Binned quantization of the full dataset, built once and
-// row-subset per CV fold, so the binning cost is paid once for the entire
-// folds × grid-points search.
+// Bins is the gbt quantization level per candidate (2..256, 0 = 256). It
+// is usually a single value, not a searched dimension: all candidates
+// with the same Bins share one dataset.Binned quantization of the full
+// dataset, built once and row-subset per CV fold, so the binning cost is
+// paid once for the entire folds × grid-points search.
 type Grid struct {
 	Rounds         []int
 	MaxDepth       []int
@@ -152,11 +151,11 @@ type binCache struct {
 	binned map[int]*dataset.Binned
 }
 
-// get returns the shared binned matrix for the given level (nil for the
-// exact path), building it on first use.
+// get returns the shared binned matrix for the given level (0 = the
+// default, dataset.MaxBins), building it on first use.
 func (c *binCache) get(bins int) (*dataset.Binned, error) {
 	if bins <= 0 {
-		return nil, nil
+		bins = dataset.MaxBins
 	}
 	if bd, ok := c.binned[bins]; ok {
 		return bd, nil
@@ -172,13 +171,13 @@ func (c *binCache) get(bins int) (*dataset.Binned, error) {
 	return bd, nil
 }
 
-// fold is one train/validation split. The materialized datasets drive the
-// exact path and validation scoring; trainIdx carries the same training
-// rows as indices into the full dataset, which is all the binned path
-// needs to train against a shared dataset.Binned without copying rows.
+// fold is one train/validation split: trainIdx lists the training rows as
+// indices into the full dataset, which is all training needs against a
+// shared dataset.Binned without copying rows; valid is materialized for
+// scoring.
 type fold struct {
-	train, valid *dataset.Dataset
-	trainIdx     []int
+	valid    *dataset.Dataset
+	trainIdx []int
 }
 
 // kfold deterministically partitions d into k folds.
@@ -200,7 +199,6 @@ func kfold(d *dataset.Dataset, k int, seed int64) []fold {
 			}
 		}
 		folds = append(folds, fold{
-			train:    d.Subset(trainIdx),
 			valid:    d.Subset(validIdx),
 			trainIdx: trainIdx,
 		})
@@ -231,20 +229,14 @@ func permutation(n int, seed int64) []int {
 	return out
 }
 
-// crossValidate returns the mean validation MdAPE over the folds. With a
-// shared binned matrix (bd non-nil) training subsets it by the fold's row
-// indices; validation always scores against the raw feature rows, which
-// the binned trees evaluate exactly (thresholds are raw-space cut points).
+// crossValidate returns the mean validation MdAPE over the folds. Training
+// subsets the shared binned matrix by the fold's row indices; validation
+// scores against the raw feature rows, which the binned trees evaluate
+// exactly (thresholds are raw-space cut points).
 func crossValidate(folds []fold, params gbt.Params, bd *dataset.Binned) (float64, error) {
 	var sum float64
 	for _, f := range folds {
-		var m *gbt.Model
-		var err error
-		if bd != nil {
-			m, err = gbt.TrainBinned(bd, f.trainIdx, params)
-		} else {
-			m, err = gbt.Train(f.train, params)
-		}
+		m, err := gbt.TrainBinned(bd, f.trainIdx, params)
 		if err != nil {
 			return 0, err
 		}

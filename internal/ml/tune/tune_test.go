@@ -59,8 +59,8 @@ func TestKFoldPartition(t *testing.T) {
 	}
 	totalValid := 0
 	for _, f := range folds {
-		if f.train.Len()+f.valid.Len() != d.Len() {
-			t.Fatalf("fold does not partition: %d + %d != %d", f.train.Len(), f.valid.Len(), d.Len())
+		if len(f.trainIdx)+f.valid.Len() != d.Len() {
+			t.Fatalf("fold does not partition: %d + %d != %d", len(f.trainIdx), f.valid.Len(), d.Len())
 		}
 		totalValid += f.valid.Len()
 	}

@@ -223,8 +223,8 @@ func (s *Server) runJobs(sc *shardScratch) {
 // one contiguous slab, quantized column-major against the model's cuts —
 // a group's rows share a model, so its cut arrays stay hot across them —
 // and walked as one dense code-space block. A group falls back to the
-// float forest when its model has no code forest (exact-trained, or a
-// threshold off the bin-edge grid) or the quantizer refuses a value (NaN
+// float forest when its model has no code forest (loaded from a file
+// without cut points, or a threshold off the bin-edge grid) or the quantizer refuses a value (NaN
 // or ±Inf); the answers are bit-identical either way, so the choice is
 // only about speed. Rows are counting-sorted into per-group ranges of
 // the scratch arrays, so nothing is allocated once the scratch has grown

@@ -9,8 +9,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/ml/gbt"
 )
 
 // TestRegistryVersion1FailsClosed: the code-space era bumped the registry
@@ -50,15 +53,44 @@ func TestServeMatchesFloatForest(t *testing.T) {
 	checkMatchesFloat(t, s, ts.URL, 300, true)
 }
 
-// TestServeFloatFallback: a registry of exact-trained models has no code
-// forest, so every row — lone /predict rows and batches mixing edge and
-// global rows alike — takes predictGrouped's float branch. Answers must
-// still equal Model.Predict bit for bit on both routes.
+// TestServeFloatFallback: a registry file whose models carry no "bins" or
+// "cuts" — what builds that trained exact models wrote — still loads,
+// and its models have no code forest, so every row — lone /predict rows
+// and batches mixing edge and global rows alike — takes predictGrouped's
+// float branch. Answers must still equal Model.Predict bit for bit on
+// both routes.
 func TestServeFloatFallback(t *testing.T) {
 	s, path := newTestServer(t, 1, nil)
-	writeRegistryFile(t, path, testRegistryBins(t, 1, 0))
+	var buf bytes.Buffer
+	if err := WriteRegistry(&buf, testRegistry(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	models := []any{file["global"]}
+	for _, m := range file["edges"].(map[string]any) {
+		models = append(models, m)
+	}
+	for _, m := range models {
+		delete(m.(map[string]any), "bins")
+		delete(m.(map[string]any), "cuts")
+	}
+	legacy, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Reload(); err != nil {
 		t.Fatal(err)
+	}
+	for name, m := range map[string]*gbt.Model{"global": s.Registry().Global, "edge": s.Registry().Edges["S1->D1"]} {
+		if m.CodeSpace() || m.Bins() != 0 {
+			t.Fatalf("%s model from a legacy file: CodeSpace() = %v, Bins() = %d", name, m.CodeSpace(), m.Bins())
+		}
 	}
 	s.Start()
 	defer s.Drain()

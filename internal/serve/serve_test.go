@@ -20,10 +20,9 @@ var testFeatures = []string{"a", "b", "c"}
 
 // testModel trains a small ensemble on a synthetic surface scaled by
 // scale, so registries built with different scales predict differently —
-// which lets tests observe which snapshot answered. bins > 0 trains
-// histogram-binned models, which carry a code-space forest; bins == 0
-// trains exact ones, which serve through the float forest.
-func testModel(t testing.TB, seed int64, scale float64, bins int) *gbt.Model {
+// which lets tests observe which snapshot answered. The models carry a
+// code-space forest.
+func testModel(t testing.TB, seed int64, scale float64) *gbt.Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const rows = 400
@@ -41,13 +40,12 @@ func testModel(t testing.TB, seed int64, scale float64, bins int) *gbt.Model {
 	p := gbt.DefaultParams()
 	p.Rounds = 25
 	p.Seed = seed
-	p.Bins = bins
 	m, err := gbt.Train(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CodeSpace() != (bins > 0) {
-		t.Fatalf("bins %d: CodeSpace() = %v", bins, m.CodeSpace())
+	if !m.CodeSpace() {
+		t.Fatal("trained model has no code-space forest")
 	}
 	return m
 }
@@ -57,17 +55,11 @@ func testModel(t testing.TB, seed int64, scale float64, bins int) *gbt.Model {
 // so serve tests exercise the code-space (uint8) inference path end to
 // end — the exact-rate assertions then pin quantized serving
 // bit-identical to Model.Predict. (The float forest is covered by
-// TestServeFloatFallback over an exact-trained registry.)
+// TestServeFloatFallback over a legacy registry file without cut points.)
 func testRegistry(t testing.TB, scale float64) *Registry {
 	t.Helper()
-	return testRegistryBins(t, scale, 256)
-}
-
-// testRegistryBins is testRegistry with the models' training bins.
-func testRegistryBins(t testing.TB, scale float64, bins int) *Registry {
-	t.Helper()
-	edge := testModel(t, 7, scale, bins)
-	global := testModel(t, 8, scale, bins)
+	edge := testModel(t, 7, scale)
+	global := testModel(t, 8, scale)
 	reg := &Registry{
 		Features: append([]string(nil), testFeatures...),
 		Global:   global,

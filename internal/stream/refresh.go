@@ -28,8 +28,7 @@ type RefreshConfig struct {
 	// Gate holds the promotion tolerances (default DefaultDriftGate).
 	Gate DriftGate
 	// GBT are the cold-start training parameters. Zero means
-	// gbt.DefaultParams with 256 histogram bins — the warm path requires
-	// binned training, so Bins must stay positive.
+	// gbt.DefaultParams.
 	GBT gbt.Params
 	// WarmRounds is how many residual trees a warm refresh appends
 	// (default 50).
@@ -66,7 +65,6 @@ func (c *RefreshConfig) fillDefaults() {
 	}
 	if c.GBT.Rounds == 0 {
 		c.GBT = gbt.DefaultParams()
-		c.GBT.Bins = 256
 	}
 	if c.WarmRounds <= 0 {
 		c.WarmRounds = 50
@@ -121,12 +119,9 @@ type Refresher struct {
 }
 
 // NewRefresher returns a refresher with cfg's zero fields defaulted.
-func NewRefresher(cfg RefreshConfig) (*Refresher, error) {
+func NewRefresher(cfg RefreshConfig) *Refresher {
 	cfg.fillDefaults()
-	if cfg.GBT.Bins <= 0 {
-		return nil, fmt.Errorf("stream: refresh requires binned GBT training (Bins > 0)")
-	}
-	return &Refresher{cfg: cfg, win: NewWindow(cfg.WindowCap)}, nil
+	return &Refresher{cfg: cfg, win: NewWindow(cfg.WindowCap)}
 }
 
 // Window exposes the sliding window (for inspection in tests and stats).

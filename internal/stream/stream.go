@@ -27,11 +27,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	rf, err := NewRefresher(cfg.Refresh)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{Tailer: t, Refresher: rf}, nil
+	return &Runner{Tailer: t, Refresher: NewRefresher(cfg.Refresh)}, nil
 }
 
 // Drain performs one synchronous pass: tail everything currently

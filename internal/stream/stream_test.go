@@ -23,7 +23,7 @@ func streamRefresher(t *testing.T, regPath string) *Refresher {
 	p.Rounds = 20
 	p.Bins = 64
 	p.Workers = 1
-	rf, err := NewRefresher(RefreshConfig{
+	return NewRefresher(RefreshConfig{
 		WindowCap:    512,
 		MinTrain:     32,
 		GBT:          p,
@@ -31,10 +31,6 @@ func streamRefresher(t *testing.T, regPath string) *Refresher {
 		RegistryPath: regPath,
 		Logf:         t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rf
 }
 
 // feedWindow ingests n records from a deterministic world into rf.

@@ -38,7 +38,7 @@ fi
 # ^BenchmarkPredict$ is anchored so it matches only BenchmarkPredict,
 # not BenchmarkServePredict (the serve stage below runs that one).
 # Fig11HeadlineBinned is the 256-bin Fig. 11 run over every study edge.
-pattern="${BENCH_PATTERN:-GBTTrain|GBTTrainHist|Fig11Headline|Fig11HeadlineBinned|FeatureEngineering|LinregFit|SimulateSmall|^BenchmarkPredict\$|PredictAll|MIC|EngineRun}"
+pattern="${BENCH_PATTERN:-GBTTrainHist|Fig11HeadlineBinned|FeatureEngineering|LinregFit|SimulateSmall|^BenchmarkPredict\$|PredictAll|MIC|EngineRun}"
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-1x}"
 shard_count="${BENCH_SHARD_COUNT:-3}"
@@ -118,7 +118,7 @@ if [ "${BENCH_XLARGE:-0}" = "1" ]; then
 fi
 
 # Parse the benchstat-compatible text into JSON. Benchmark lines look like:
-#   BenchmarkGBTTrain    	       2	 601234567 ns/op	 123456 B/op	   789 allocs/op
+#   BenchmarkGBTTrainHist	       2	 601234567 ns/op	 123456 B/op	   789 allocs/op
 # The -N name suffix is the GOMAXPROCS the run executed under; it becomes
 # its own "cpu" field rather than being discarded, so -cpu matrix runs of
 # the same benchmark stay distinguishable in the JSON.
