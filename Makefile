@@ -35,9 +35,11 @@ bench:
 # core must stay byte-identical to the reference core, which lives only
 # in the tests, under adversarial deadline ties; CI runs a 20 s pass of
 # it on every push), and the serve daemon's request decoder
-# (malformed bodies must 400, never panic), and the log tailer (torn
+# (malformed bodies must 400, never panic), the log tailer (torn
 # appends, rotation, truncation, and garbage mid-stream must never
-# panic or emit a malformed record).
+# panic or emit a malformed record), and the one-pass registry and model
+# decoders (each must defer to encoding/json or build exactly what it
+# builds; CI runs a 20 s pass of both on every push).
 fuzz:
 	$(GO) test ./internal/logs -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/logs/colfmt -run '^$$' -fuzz FuzzReadColumnar -fuzztime 30s
@@ -48,6 +50,8 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzCodecDifferential -fuzztime 30s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzBatchRequest -fuzztime 30s
 	$(GO) test ./internal/stream -run '^$$' -fuzz FuzzTail -fuzztime 30s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRegistryDecode -fuzztime 30s
+	$(GO) test ./internal/ml/gbt -run '^$$' -fuzz FuzzModelDecode -fuzztime 30s
 
 # Train a serving registry on the small workload and run the prediction
 # daemon on it (foreground; SIGHUP reloads, SIGTERM drains). Override

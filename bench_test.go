@@ -8,7 +8,10 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,8 +22,10 @@ import (
 	"repro/internal/logs/colfmt"
 	"repro/internal/ml/gbt"
 	"repro/internal/ml/linreg"
+	"repro/internal/serve"
 	"repro/internal/simulate"
 	"repro/internal/stats"
+	"repro/internal/stream"
 )
 
 var (
@@ -552,7 +557,7 @@ func BenchmarkGBTTrainHist(b *testing.B) {
 }
 
 // BenchmarkPredictAll measures flat batch inference: scoring every row of
-// one edge's feature matrix through the SoA forest in a single call.
+// one edge's feature matrix through the blocked float forest in a single call.
 func BenchmarkPredictAll(b *testing.B) {
 	p, edges := benchPipeline(b)
 	vecs := p.VectorsAt(edges[0].Qualifying)
@@ -654,5 +659,165 @@ func BenchmarkAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		logOncePerBench(b, core.RenderAblation(rows))
+	}
+}
+
+// ---- Online-refresh component benchmarks ----
+//
+// The refresh loop's cost scales with the ensemble it inherits: every
+// refresh seeds warm-start residuals and the drift gate by walking the
+// blessed forest over the window, encodes the promoted registry, and the
+// watching daemon decodes it again. These benchmarks time those pieces on
+// the seed-42 DefaultConfig inputs `wanperf registry` and wanbench's
+// refresh workload use.
+
+// refreshBenchInputs is built once: the DefaultConfig serving registry
+// (30 edge models + global), the global-only registry `wanperf stream`
+// promotes once its warm-started model reaches 600 trees, and the log
+// prefix a stream replays up to that refresh: ingesting record
+// log[warmAt] triggers the refresh that grows 550 trees to 600.
+type refreshBenchInputs struct {
+	defaultReg, warmReg []byte
+	log                 []logs.Record
+	warmAt              int
+}
+
+var (
+	refreshBenchOnce sync.Once
+	refreshBench     refreshBenchInputs
+	refreshBenchErr  error
+)
+
+func refreshInputs(b *testing.B) *refreshBenchInputs {
+	b.Helper()
+	refreshBenchOnce.Do(func() { refreshBenchErr = buildRefreshInputs(&refreshBench) })
+	if refreshBenchErr != nil {
+		b.Fatal(refreshBenchErr)
+	}
+	return &refreshBench
+}
+
+func buildRefreshInputs(in *refreshBenchInputs) error {
+	pl, err := core.Run(simulate.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	reg, err := serve.Build(context.Background(), pl, pl.StudyEdges())
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := serve.WriteRegistry(&buf, reg); err != nil {
+		return err
+	}
+	in.defaultReg = buf.Bytes()
+
+	dir, err := os.MkdirTemp("", "wanperf-refresh-bench-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	regPath := filepath.Join(dir, "registry.json")
+	in.log = pl.Log.Records
+	var rf *stream.Refresher
+	var at, before int
+	var readErr error
+	// The refresh defaults are `wanperf stream`'s.
+	rf = stream.NewRefresher(stream.RefreshConfig{RegistryPath: regPath, OnDecision: func(d stream.Decision) {
+		if d.Action == "promote" && before == 550 && rf.Blessed().NumTrees() == 600 {
+			in.warmAt = at
+			in.warmReg, readErr = os.ReadFile(regPath)
+		}
+	}})
+	for at = range in.log {
+		if rf.Blessed() != nil {
+			before = rf.Blessed().NumTrees()
+		}
+		if err := rf.Ingest(in.log[at]); err != nil {
+			return err
+		}
+		if in.warmReg != nil || readErr != nil {
+			return readErr
+		}
+	}
+	return fmt.Errorf("log ended before the stream's global model grew from 550 to 600 trees")
+}
+
+// BenchmarkRegistryLoad decodes and validates a registry file, the work
+// `wanperf serve` does at boot and on every -watch reload.
+func BenchmarkRegistryLoad(b *testing.B) {
+	in := refreshInputs(b)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"default", in.defaultReg}, {"warm600", in.warmReg}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := serve.ReadRegistry(bytes.NewReader(c.data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRegistryWrite encodes a registry, the work every promotion
+// does before its atomic rename.
+func BenchmarkRegistryWrite(b *testing.B) {
+	in := refreshInputs(b)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"default", in.defaultReg}, {"warm600", in.warmReg}} {
+		reg, err := serve.ReadRegistry(bytes.NewReader(c.data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := serve.WriteRegistry(&buf, reg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(buf.Bytes(), c.data) {
+				b.Fatal("re-encoded registry differs from the file it was read from")
+			}
+		})
+	}
+}
+
+// BenchmarkRefreshWarm times one warm refresh at 550→600 trees, the
+// most expensive refresh the default stream makes: window features,
+// warm-start seeding, 50 new rounds, the drift gate against the blessed
+// model, and the promotion's registry write. Each iteration replays the
+// log up to that refresh off the clock, then times the ingest of the
+// record that triggers it.
+func BenchmarkRefreshWarm(b *testing.B) {
+	in := refreshInputs(b)
+	regPath := filepath.Join(b.TempDir(), "registry.json")
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rf := stream.NewRefresher(stream.RefreshConfig{RegistryPath: regPath})
+		for _, r := range in.log[:in.warmAt] {
+			if err := rf.Ingest(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if rf.Blessed().NumTrees() != 550 {
+			b.Fatalf("replay reached %d trees, want 550", rf.Blessed().NumTrees())
+		}
+		b.StartTimer()
+		if err := rf.Ingest(in.log[in.warmAt]); err != nil {
+			b.Fatal(err)
+		}
+		if rf.Blessed().NumTrees() != 600 {
+			b.Fatalf("refresh left %d trees, want a promotion to 600", rf.Blessed().NumTrees())
+		}
 	}
 }

@@ -3,24 +3,22 @@ package features
 // columns.go runs the §4 feature engineering directly over a columnar
 // table (colfmt.Table), so paper-scale logs stream from disk into the
 // overlap analysis without ever materializing row-oriented logs.Record
-// values. The arithmetic — candidate windowing, overlap fractions,
+// values. The arithmetic — the overlap scan, overlap fractions,
 // Eq. 2 accumulation — is performed in the same order as the row path,
 // so the output is bitwise identical to Engineer on the equivalent log
 // (TestEngineerColumnsMatchesRows pins this).
 
 import (
-	"sort"
-
 	"repro/internal/logs/colfmt"
 	"repro/internal/pool"
 )
 
 // colIndex is the columnar counterpart of epIndex: row indices using the
-// endpoint as source and as destination (sorted by start time), plus the
-// longest duration seen.
+// endpoint as source and as destination (sorted by start time), with the
+// running maximum end time along each list.
 type colIndex struct {
-	asSrc, asDst []int32
-	maxDur       float64
+	asSrc, asDst   []int32
+	srcEnd, dstEnd []float64
 }
 
 // EngineerColumns computes feature vectors for every row of the table,
@@ -56,14 +54,9 @@ func engineerColumns(t *colfmt.Table, workers int) []Vector {
 		s, d := canon[t.Src[i]], canon[t.Dst[i]]
 		srcOf[i], dstOf[i] = s, d
 		idx[s].asSrc = append(idx[s].asSrc, int32(i))
+		idx[s].srcEnd = appendMaxEnd(idx[s].srcEnd, t.Te[i])
 		idx[d].asDst = append(idx[d].asDst, int32(i))
-		dur := t.Te[i] - t.Ts[i]
-		if dur > idx[s].maxDur {
-			idx[s].maxDur = dur
-		}
-		if dur > idx[d].maxDur {
-			idx[d].maxDur = dur
-		}
+		idx[d].dstEnd = appendMaxEnd(idx[d].dstEnd, t.Te[i])
 	}
 
 	out := make([]Vector, n)
@@ -81,15 +74,13 @@ func engineerColumns(t *colfmt.Table, workers int) []Vector {
 		src := &idx[srcOf[k]]
 		dst := &idx[dstOf[k]]
 
-		v.Ksout, v.Ssout = colAccumulate(t, src.asSrc, k, src.maxDur)
-		v.Ksin, v.Ssin = colAccumulate(t, src.asDst, k, src.maxDur)
-		v.Kdout, v.Sdout = colAccumulate(t, dst.asSrc, k, dst.maxDur)
-		v.Kdin, v.Sdin = colAccumulate(t, dst.asDst, k, dst.maxDur)
-
-		v.Gsrc = colInstances(t, src.asSrc, k, src.maxDur) +
-			colInstances(t, src.asDst, k, src.maxDur)
-		v.Gdst = colInstances(t, dst.asSrc, k, dst.maxDur) +
-			colInstances(t, dst.asDst, k, dst.maxDur)
+		var g1, g2 float64
+		v.Ksout, v.Ssout, g1 = colAccumulate(t, src.asSrc, src.srcEnd, k)
+		v.Ksin, v.Ssin, g2 = colAccumulate(t, src.asDst, src.dstEnd, k)
+		v.Gsrc = g1 + g2
+		v.Kdout, v.Sdout, g1 = colAccumulate(t, dst.asSrc, dst.srcEnd, k)
+		v.Kdin, v.Sdin, g2 = colAccumulate(t, dst.asDst, dst.dstEnd, k)
+		v.Gdst = g1 + g2
 
 		out[k] = v
 	})
@@ -113,14 +104,6 @@ func colProcesses(t *colfmt.Table, i int) int32 {
 	return t.Conc[i]
 }
 
-// colCandidates mirrors candidates: the subrange of the sorted index
-// list with Ts in [Ts(k) − maxDur, Te(k)].
-func colCandidates(t *colfmt.Table, list []int32, k int, maxDur float64) []int32 {
-	lo := sort.Search(len(list), func(i int) bool { return t.Ts[list[i]] >= t.Ts[k]-maxDur })
-	hi := sort.Search(len(list), func(i int) bool { return t.Ts[list[i]] > t.Te[k] })
-	return list[lo:hi]
-}
-
 // colOverlap mirrors overlap: O(i,k) = max(0, min(Tei,Tek) − max(Tsi,Tsk)).
 func colOverlap(t *colfmt.Table, i, k int) float64 {
 	lo := t.Ts[i]
@@ -138,14 +121,19 @@ func colOverlap(t *colfmt.Table, i, k int) float64 {
 }
 
 // colAccumulate mirrors accumulate: the Eq. 2 overlap-scaled aggregate
-// rate (K) and TCP stream count (S) for one directional competitor set.
-func colAccumulate(t *colfmt.Table, list []int32, k int, maxDur float64) (kRate, sStreams float64) {
+// rate (K), TCP stream count (S) and GridFTP process count (G) for one
+// directional competitor set, in one pass over the rows that can
+// overlap row k.
+func colAccumulate(t *colfmt.Table, list []int32, maxEnd []float64, k int) (kRate, sStreams, g float64) {
 	dur := t.Te[k] - t.Ts[k]
 	if dur <= 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
-	for _, i32 := range colCandidates(t, list, k, maxDur) {
+	for _, i32 := range list[firstOverlap(maxEnd, t.Ts[k]):] {
 		i := int(i32)
+		if t.Ts[i] > t.Te[k] {
+			break
+		}
 		if i == k {
 			continue
 		}
@@ -154,30 +142,10 @@ func colAccumulate(t *colfmt.Table, list []int32, k int, maxDur float64) (kRate,
 			continue
 		}
 		frac := o / dur
+		procs := colProcesses(t, i)
 		kRate += frac * colRate(t, i)
-		sStreams += frac * float64(colProcesses(t, i)*t.Par[i])
+		sStreams += frac * float64(procs*t.Par[i])
+		g += frac * float64(procs)
 	}
-	return kRate, sStreams
-}
-
-// colInstances mirrors instances: the overlap-scaled GridFTP process
-// count for one directional competitor set.
-func colInstances(t *colfmt.Table, list []int32, k int, maxDur float64) float64 {
-	dur := t.Te[k] - t.Ts[k]
-	if dur <= 0 {
-		return 0
-	}
-	var g float64
-	for _, i32 := range colCandidates(t, list, k, maxDur) {
-		i := int(i32)
-		if i == k {
-			continue
-		}
-		o := colOverlap(t, i, k)
-		if o <= 0 {
-			continue
-		}
-		g += o / dur * float64(colProcesses(t, i))
-	}
-	return g
+	return kRate, sStreams, g
 }

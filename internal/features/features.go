@@ -88,11 +88,11 @@ func (v *Vector) RelativeExternalLoad() float64 {
 }
 
 // epIndex holds, for one endpoint, the indices of log records that use it
-// as source and as destination, each sorted by start time, plus the longest
-// duration seen (to bound overlap searches).
+// as source and as destination, each sorted by start time, with the
+// running maximum end time along each list (see firstOverlap).
 type epIndex struct {
-	asSrc, asDst []int
-	maxDur       float64
+	asSrc, asDst   []int
+	srcEnd, dstEnd []float64
 }
 
 // Engineer computes feature vectors for every record in the log. The log
@@ -122,14 +122,9 @@ func engineer(l *logs.Log, workers int) []Vector {
 		r := &recs[i]
 		src, dst := get(r.Src), get(r.Dst)
 		src.asSrc = append(src.asSrc, i)
+		src.srcEnd = appendMaxEnd(src.srcEnd, r.Te)
 		dst.asDst = append(dst.asDst, i)
-		d := r.Duration()
-		if d > src.maxDur {
-			src.maxDur = d
-		}
-		if d > dst.maxDur {
-			dst.maxDur = d
-		}
+		dst.dstEnd = appendMaxEnd(dst.dstEnd, r.Te)
 	}
 	// Records are in start order already, so the per-endpoint index lists
 	// are sorted by Ts too. From here the index is read-only.
@@ -150,22 +145,45 @@ func engineer(l *logs.Log, workers int) []Vector {
 		src := idx[rk.Src]
 		dst := idx[rk.Dst]
 
-		v.Ksout, v.Ssout = accumulate(recs, src.asSrc, rk, k, src.maxDur)
-		v.Ksin, v.Ssin = accumulate(recs, src.asDst, rk, k, src.maxDur)
-		v.Kdout, v.Sdout = accumulate(recs, dst.asSrc, rk, k, dst.maxDur)
-		v.Kdin, v.Sdin = accumulate(recs, dst.asDst, rk, k, dst.maxDur)
-
 		// G counts every competing transfer touching the endpoint in
 		// either direction (§4.3.1: "all transfers except k that have
 		// srck as their source or destination").
-		v.Gsrc = instances(recs, src.asSrc, rk, k, src.maxDur) +
-			instances(recs, src.asDst, rk, k, src.maxDur)
-		v.Gdst = instances(recs, dst.asSrc, rk, k, dst.maxDur) +
-			instances(recs, dst.asDst, rk, k, dst.maxDur)
+		var g1, g2 float64
+		v.Ksout, v.Ssout, g1 = accumulate(recs, src.asSrc, src.srcEnd, rk, k)
+		v.Ksin, v.Ssin, g2 = accumulate(recs, src.asDst, src.dstEnd, rk, k)
+		v.Gsrc = g1 + g2
+		v.Kdout, v.Sdout, g1 = accumulate(recs, dst.asSrc, dst.srcEnd, rk, k)
+		v.Kdin, v.Sdin, g2 = accumulate(recs, dst.asDst, dst.dstEnd, rk, k)
+		v.Gdst = g1 + g2
 
 		out[k] = v
 	})
 	return out
+}
+
+// appendMaxEnd extends a list's running maximum of end times by te.
+func appendMaxEnd(maxEnd []float64, te float64) []float64 {
+	if n := len(maxEnd); n > 0 && maxEnd[n-1] > te {
+		te = maxEnd[n-1]
+	}
+	return append(maxEnd, te)
+}
+
+// firstOverlap returns the first position of a start-sorted list whose
+// running maximum end exceeds ts. Every entry before it ended by ts, so
+// its overlap with a transfer starting at ts is zero: the Eq. 2 scan can
+// begin there without dropping a single nonzero term.
+func firstOverlap(maxEnd []float64, ts float64) int {
+	lo, hi := 0, len(maxEnd)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if maxEnd[mid] > ts {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Overlap exposes the Eq. 2 overlap O(i,k) for incremental consumers
@@ -189,26 +207,25 @@ func overlap(a, b *logs.Record) float64 {
 	return hi - lo
 }
 
-// candidates returns the subrange of the sorted index list that can
-// possibly overlap rk: Ts in [rk.Ts − maxDur, rk.Te].
-func candidates(recs []logs.Record, list []int, rk *logs.Record, maxDur float64) []int {
-	lo := sort.Search(len(list), func(i int) bool { return recs[list[i]].Ts >= rk.Ts-maxDur })
-	hi := sort.Search(len(list), func(i int) bool { return recs[list[i]].Ts > rk.Te })
-	return list[lo:hi]
-}
-
-// accumulate computes the Eq. 2 sums for one directional competitor set:
-// the overlap-scaled aggregate rate (K) and TCP stream count (S).
-func accumulate(recs []logs.Record, list []int, rk *logs.Record, k int, maxDur float64) (kRate, sStreams float64) {
+// accumulate computes the Eq. 2 sums for one directional competitor set
+// in one pass: the overlap-scaled aggregate rate (K), TCP stream count
+// (S) and GridFTP process count (G). The scan runs from firstOverlap to
+// the first competitor starting after rk ends, so it visits only
+// transfers that can overlap rk, in list order — the same terms, summed
+// in the same order, as a scan over every candidate.
+func accumulate(recs []logs.Record, list []int, maxEnd []float64, rk *logs.Record, k int) (kRate, sStreams, g float64) {
 	dur := rk.Duration()
 	if dur <= 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
-	for _, i := range candidates(recs, list, rk, maxDur) {
+	for _, i := range list[firstOverlap(maxEnd, rk.Ts):] {
+		ri := &recs[i]
+		if ri.Ts > rk.Te {
+			break
+		}
 		if i == k {
 			continue
 		}
-		ri := &recs[i]
 		o := overlap(ri, rk)
 		if o <= 0 {
 			continue
@@ -216,30 +233,9 @@ func accumulate(recs []logs.Record, list []int, rk *logs.Record, k int, maxDur f
 		frac := o / dur
 		kRate += frac * ri.Rate()
 		sStreams += frac * float64(ri.Streams())
+		g += frac * float64(ri.Processes())
 	}
-	return kRate, sStreams
-}
-
-// instances computes the overlap-scaled GridFTP process count for one
-// directional competitor set.
-func instances(recs []logs.Record, list []int, rk *logs.Record, k int, maxDur float64) float64 {
-	dur := rk.Duration()
-	if dur <= 0 {
-		return 0
-	}
-	var g float64
-	for _, i := range candidates(recs, list, rk, maxDur) {
-		if i == k {
-			continue
-		}
-		ri := &recs[i]
-		o := overlap(ri, rk)
-		if o <= 0 {
-			continue
-		}
-		g += o / dur * float64(ri.Processes())
-	}
-	return g
+	return kRate, sStreams, g
 }
 
 // Dataset assembles a modeling dataset from the chosen vectors. When

@@ -71,10 +71,10 @@ func (c *Collector) OnInterval(t0, t1 float64, loads []simulate.EndpointLoad) {
 		}
 		first := int(t0 / c.period)
 		last := int(t1 / c.period)
+		// Grow by append, so the slice's capacity doubles as simulated
+		// time advances instead of being reallocated at every boundary.
 		if need := last + 1; need > len(bins) {
-			grown := make([]bin, need)
-			copy(grown, bins)
-			bins = grown
+			bins = append(bins, make([]bin, need-len(bins))...)
 		}
 		for b := first; b <= last; b++ {
 			lo := math.Max(t0, float64(b)*c.period)

@@ -134,3 +134,26 @@ func TestModelUnmarshalRejectsBad(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPredictBatchWarm600 is the refresh loop's dominant inference:
+// a 600-tree warm-started-size ensemble over 3,000 window rows through
+// PredictBatch, single worker.
+func BenchmarkPredictBatchWarm600(b *testing.B) {
+	_, d := trainBatchModel(b, 3000)
+	p := DefaultParams()
+	p.Rounds = 600
+	p.Workers = 1
+	m, err := Train(d, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.params.Workers = 1
+	out := make([]float64, d.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.PredictBatch(d.X, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -19,25 +19,24 @@ var ErrNoCodeSpace = errors.New("gbt: model has no code-space forest")
 
 // A code-space tree node is one uint64 — feature in bits 0..15, split
 // bin code in bits 16..23, absolute left-child index in bits 32..63 —
-// against the float SoA's 29 bytes/node of traversal state, so ~3.5x
-// more of the forest fits in cache and each walk step issues ONE node
-// load (the packed word) instead of three field loads; with the cursor
-// and code-byte loads that is 3 load-port uops per step, which is what
-// the level loop's throughput is bound by. Split rule: go left when
-// code[feature] <= code. Nodes are laid out in BFS order with each
-// split's two children ADJACENT (right child at left+1), so only the
-// left index is stored and the walker selects the child arithmetically
-// — cs = left + (code > nd.code) — with no branch to mispredict.
-// Leaves are self-loops (left == own index) with feature 0 and code
-// 255: bin codes are at most 255, so the comparison is never "greater"
-// and the cursor parks on the leaf while the blocked walker runs out
-// the tree's depth without a leaf branch.
+// half the float forest's 16-byte fnode, so twice as much of the forest
+// fits in cache and each walk step issues ONE node load (the packed
+// word); with the cursor and code-byte loads that is 3 load-port uops
+// per step, which is what the level loop's throughput is bound by.
+// Split rule: go left when code[feature] <= code. Nodes are laid out by
+// bfsLayout (BFS order, each split's two children adjacent, right child
+// at left+1), so only the left index is stored and the walker selects
+// the child arithmetically — cs = left + (code > nd.code) — with no
+// branch to mispredict. Leaves are self-loops (left == own index) with
+// feature 0 and code 255: bin codes are at most 255, so the comparison
+// is never "greater" and the cursor parks on the leaf while the blocked
+// walker runs out the tree's depth without a leaf branch.
 func packCnode(feature int16, code uint8, left int32) uint64 {
 	return uint64(uint16(feature)) | uint64(code)<<16 | uint64(uint32(left))<<32
 }
 
-// cforest is the quantized ensemble: every tree's pre-order node array
-// concatenated into one interleaved cnode slice, with leaf weights in a
+// cforest is the quantized ensemble: every tree BFS-relaid and
+// concatenated into one packed-node slice, with leaf weights in a
 // parallel array touched only after the walk (same split-the-working-set
 // rationale as forest). depth[t] is tree t's leaf depth bound — the
 // number of unconditional levels the blocked walker runs.
@@ -79,34 +78,13 @@ func buildCodeForest(m *Model) *cforest {
 		depth:  make([]int32, len(m.trees)),
 		nf:     len(m.Names),
 	}
-	var order, newIdx, depths []int32
+	var lay bfsLayout
 	for ti := range m.trees {
 		nodes := m.trees[ti].nodes
 		base := int32(len(c.nodes))
 		c.roots = append(c.roots, base)
-		// Relayout the tree in BFS order, allocating each split's two
-		// children as an adjacent pair — the arithmetic-child-select
-		// invariant (right == left+1) the walker depends on. The queue
-		// pass also assigns depths; the running max bounds the walk.
-		order = append(order[:0], 0)   // order[new] = old pre-order index
-		depths = append(depths[:0], 0) // depths[new], parallel to order
-		newIdx = append(newIdx[:0], make([]int32, len(nodes))...)
-		var maxd int32
-		for qi := 0; qi < len(order); qi++ {
-			n := nodes[order[qi]]
-			if n.feature < 0 {
-				continue
-			}
-			d := depths[qi] + 1
-			if d > maxd {
-				maxd = d
-			}
-			newIdx[n.left] = int32(len(order))
-			newIdx[n.right] = int32(len(order) + 1)
-			depths = append(depths, d, d)
-			order = append(order, n.left, n.right)
-		}
-		for newI, old := range order {
+		lay.relayout(nodes)
+		for newI, old := range lay.order {
 			n := nodes[old]
 			if n.feature < 0 {
 				c.nodes = append(c.nodes, packCnode(0, 255, base+int32(newI)))
@@ -119,10 +97,10 @@ func buildCodeForest(m *Model) *cforest {
 				return nil // threshold off the bin-edge grid: refuse
 			}
 			// newIdx[n.right] == newIdx[n.left]+1 by the pair allocation.
-			c.nodes = append(c.nodes, packCnode(int16(n.feature), uint8(b), base+newIdx[n.left]))
+			c.nodes = append(c.nodes, packCnode(int16(n.feature), uint8(b), base+lay.newIdx[n.left]))
 			c.weight = append(c.weight, 0)
 		}
-		c.depth[ti] = maxd
+		c.depth[ti] = lay.depth
 	}
 	return c
 }

@@ -2,91 +2,215 @@ package gbt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ml/dataset"
 	"repro/internal/pool"
 )
 
-// forest is the ensemble flattened into structure-of-arrays form for batch
-// inference: every tree's pre-order node array concatenated, with child
-// indices rebased to absolute positions. Splitting the node struct into
-// parallel slices keeps each traversal's working set to exactly the fields
-// it touches (feature/threshold/children on the way down, weight only at
-// the leaf), so PredictAll streams through memory instead of striding over
-// 40-byte node records.
-type forest struct {
-	feature []int32
-	thresh  []float64
-	weight  []float64
-	left    []int32
-	right   []int32
-	roots   []int32 // start of each tree in the flat arrays
+// bfsLayout is the relayout both batch forests share: one tree's
+// pre-order nodes renumbered in BFS order, with each split's two children
+// allocated as an ADJACENT pair (right == left+1), so a walker stores
+// only the left index and selects the child arithmetically — left + goes
+// right — with no branch to mispredict. The struct doubles as scratch
+// reused across the trees of one build.
+type bfsLayout struct {
+	order  []int32 // order[new] = old pre-order index
+	newIdx []int32 // newIdx[old] = new index
+	depths []int32 // depths[new], parallel to order
+	depth  int32   // the tree's leaf depth bound: levels a walker runs
 }
 
-// buildFlat constructs the model's SoA forest from its trees. Called once
-// at the end of training and loading; prediction paths treat it as
-// immutable, so a built model is safe for concurrent PredictAll calls.
+// relayout computes the BFS order of nodes. The queue pass also assigns
+// depths; the running max bounds the walk.
+func (l *bfsLayout) relayout(nodes []node) {
+	l.order = append(l.order[:0], 0)
+	l.depths = append(l.depths[:0], 0)
+	// Every entry newIdx is read at is written below first, so the
+	// scratch is resized, not cleared.
+	if cap(l.newIdx) < len(nodes) {
+		l.newIdx = make([]int32, len(nodes))
+	}
+	l.newIdx = l.newIdx[:len(nodes)]
+	l.depth = 0
+	for qi := 0; qi < len(l.order); qi++ {
+		n := nodes[l.order[qi]]
+		if n.feature < 0 {
+			continue
+		}
+		d := l.depths[qi] + 1
+		l.depth = max(l.depth, d)
+		l.newIdx[n.left] = int32(len(l.order))
+		l.newIdx[n.right] = int32(len(l.order) + 1)
+		l.depths = append(l.depths, d, d)
+		l.order = append(l.order, n.left, n.right)
+	}
+}
+
+// fnode is one float-forest node: 16 bytes, so four share a cache line.
+// A split goes left when x[feature] <= thresh, to left+1 otherwise.
+// A leaf is a fixed point of that step: its threshold is NaN, so the
+// comparison is never true, and left is its own index minus one, so the
+// cursor parks on the leaf while the blocked walker runs out the tree's
+// depth. A NaN feature value fails the comparison too and goes right,
+// exactly as per-row Predict sends it.
+type fnode struct {
+	thresh  float64
+	feature int32
+	left    int32
+}
+
+// forest is the ensemble laid out for blocked batch inference, the float
+// twin of cforest: every tree BFS-relaid (bfsLayout) into one fnode
+// slice, leaf weights in a parallel array read once per tree after the
+// walk, so nodes plus weights cost 24 bytes per node.
+type forest struct {
+	nodes  []fnode
+	weight []float64
+	roots  []int32
+	depth  []int32 // per-tree leaf depth bound
+	nf     int
+}
+
+// buildFlat constructs the model's batch forests from its trees. Called
+// once at the end of training and loading; prediction paths treat them
+// as immutable, so a built model is safe for concurrent PredictAll calls.
 func (m *Model) buildFlat() {
+	m.flat = buildForest(m)
+	m.code = buildCodeForest(m)
+}
+
+func buildForest(m *Model) *forest {
 	var total int
 	for ti := range m.trees {
 		total += len(m.trees[ti].nodes)
 	}
 	f := &forest{
-		feature: make([]int32, 0, total),
-		thresh:  make([]float64, 0, total),
-		weight:  make([]float64, 0, total),
-		left:    make([]int32, 0, total),
-		right:   make([]int32, 0, total),
-		roots:   make([]int32, 0, len(m.trees)),
+		nodes:  make([]fnode, 0, total),
+		weight: make([]float64, 0, total),
+		roots:  make([]int32, 0, len(m.trees)),
+		depth:  make([]int32, len(m.trees)),
+		nf:     len(m.Names),
 	}
+	leaf := math.NaN()
+	var lay bfsLayout
 	for ti := range m.trees {
-		base := int32(len(f.feature))
+		nodes := m.trees[ti].nodes
+		base := int32(len(f.nodes))
 		f.roots = append(f.roots, base)
-		for _, n := range m.trees[ti].nodes {
-			f.feature = append(f.feature, n.feature)
-			f.thresh = append(f.thresh, n.threshold)
-			f.weight = append(f.weight, n.weight)
+		lay.relayout(nodes)
+		for newI, old := range lay.order {
+			n := nodes[old]
 			if n.feature < 0 {
-				f.left = append(f.left, 0)
-				f.right = append(f.right, 0)
-			} else {
-				f.left = append(f.left, base+n.left)
-				f.right = append(f.right, base+n.right)
+				f.nodes = append(f.nodes, fnode{thresh: leaf, left: base + int32(newI) - 1})
+				f.weight = append(f.weight, n.weight)
+				continue
 			}
+			f.nodes = append(f.nodes, fnode{thresh: n.threshold, feature: n.feature, left: base + lay.newIdx[n.left]})
+			f.weight = append(f.weight, 0)
 		}
+		f.depth[ti] = lay.depth
 	}
-	m.flat = f
-	m.code = buildCodeForest(m)
+	return f
 }
 
-// predictRange fills out[k] with base plus the ensemble output for each
-// row of xs. Trees accumulate in ensemble order — the identical
-// floating-point sequence the per-tree traversal used, so the flat path
-// is bit-identical to it.
-func (f *forest) predictRange(xs [][]float64, out []float64, base float64) {
-	feature, thresh := f.feature, f.thresh
-	left, right, weight := f.left, f.right, f.weight
-	// Hoist one shared length so the compiler can prove the five parallel
-	// arrays are at least len(feature) long and drop the per-field bounds
-	// checks inside the walk (child indices themselves stay checked — they
-	// are data, not induction variables).
-	n := len(feature)
-	thresh, weight = thresh[:n], weight[:n]
-	left, right = left[:n], right[:n]
-	for r, x := range xs {
-		s := base
-		for _, root := range f.roots {
-			i := root
-			for feature[i] >= 0 {
-				if x[feature[i]] <= thresh[i] {
-					i = left[i]
-				} else {
-					i = right[i]
-				}
+// right is the walker's child offset: 1 unless x <= t. Written as a
+// comparison the compiler turns into a flag set, not a branch.
+func right(x, t float64) int32 {
+	if x <= t {
+		return 0
+	}
+	return 1
+}
+
+// walkBlock routes the n rows of the row-major block xb (row r's values
+// at xb[r*nf : (r+1)*nf]) through every tree and accumulates leaf
+// weights into acc, tree-major: all cursors descend one level together,
+// so a block keeps up to codeBlock independent node loads in flight
+// where a one-row walk serializes on each. Per row the weights still sum
+// in ensemble order, the floating-point sequence of per-row Predict, so
+// predictions are bit-identical to it.
+func (f *forest) walkBlock(xb []float64, n int, acc []float64) {
+	nodes, weight := f.nodes, f.weight
+	nf := f.nf
+	xb = xb[:n*nf]
+	acc = acc[:n]
+	var cur [codeBlock]int32
+	for ti, root := range f.roots {
+		d := f.depth[ti]
+		if d == 0 { // single-leaf tree
+			w := weight[root]
+			for r := range acc {
+				acc[r] += w
 			}
-			s += weight[i]
+			continue
 		}
-		out[r] = s
+		cs := cur[:n]
+		// Level one: every cursor starts at the root, read once.
+		r0 := nodes[root]
+		f0, t0, l0 := int(r0.feature), r0.thresh, r0.left
+		rb := 0
+		for r := range cs {
+			cs[r] = l0 + right(xb[rb+f0], t0)
+			rb += nf
+		}
+		if d == 1 {
+			for r, c := range cs {
+				acc[r] += weight[c]
+			}
+			continue
+		}
+		for lv := d - 2; lv > 0; lv-- {
+			rb = 0
+			for r := range cs {
+				nd := &nodes[cs[r]]
+				cs[r] = nd.left + right(xb[rb+int(nd.feature)], nd.thresh)
+				rb += nf
+			}
+		}
+		// The last level adds the leaf weight straight off the child it
+		// computes instead of storing the cursor for a separate pass.
+		rb = 0
+		for r := range cs {
+			nd := &nodes[cs[r]]
+			acc[r] += weight[nd.left+right(xb[rb+int(nd.feature)], nd.thresh)]
+			rb += nf
+		}
+	}
+}
+
+// floatStackFeatures bounds the per-call stack block the row gather
+// fills (codeBlock rows × 32 float64 = 16 KB); wider models take one
+// heap block per predict call.
+const floatStackFeatures = 32
+
+// predictRows fills out[k] with base plus the ensemble output for each
+// row of xs, gathering up to codeBlock rows at a time into a contiguous
+// row-major block so the walk reads every value at one load. A single
+// row is walked in place.
+func (f *forest) predictRows(xs [][]float64, out []float64, base float64) {
+	nf := f.nf
+	if len(xs) == 1 {
+		acc := [1]float64{base}
+		f.walkBlock(xs[0], 1, acc[:])
+		out[0] = acc[0]
+		return
+	}
+	var stack [codeBlock * floatStackFeatures]float64
+	xb := stack[:]
+	if nf > floatStackFeatures {
+		xb = make([]float64, codeBlock*nf)
+	}
+	var acc [codeBlock]float64
+	for lo := 0; lo < len(xs); lo += codeBlock {
+		hi := min(lo+codeBlock, len(xs))
+		n := hi - lo
+		for r := 0; r < n; r++ {
+			copy(xb[r*nf:(r+1)*nf], xs[lo+r])
+			acc[r] = base
+		}
+		f.walkBlock(xb, n, acc[:n])
+		copy(out[lo:hi], acc[:n])
 	}
 }
 
@@ -143,14 +267,11 @@ func (m *Model) PredictBatch(xs [][]float64, out []float64) error {
 	if workers > 1 && batches > 1 {
 		pool.Do(batches, workers, func(bi int) {
 			lo := bi * predictBatch
-			hi := lo + predictBatch
-			if hi > n {
-				hi = n
-			}
-			m.flat.predictRange(xs[lo:hi], out[lo:hi], m.Base)
+			hi := min(lo+predictBatch, n)
+			m.flat.predictRows(xs[lo:hi], out[lo:hi], m.Base)
 		})
 	} else {
-		m.flat.predictRange(xs, out, m.Base)
+		m.flat.predictRows(xs, out, m.Base)
 	}
 	return nil
 }

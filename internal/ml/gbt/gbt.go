@@ -24,8 +24,8 @@
 // tests' reference (equivalence_test.go). Trees are flat arrays of nodes
 // in pre-order (the same layout the JSON serialization uses), which keeps
 // Predict's pointer chasing inside one cache-friendly slice. Batch
-// inference runs over a flat structure-of-arrays forest with
-// pool-parallel row batches (forest.go).
+// inference walks a blocked, BFS-relaid float forest over row blocks,
+// fanned out in pool-parallel batches (forest.go).
 package gbt
 
 import (
@@ -150,7 +150,7 @@ type Model struct {
 	Base   float64 // initial prediction (mean of training targets)
 	Names  []string
 	trees  []tree
-	flat   *forest  // SoA layout for batch inference (see forest.go)
+	flat   *forest  // blocked float layout for batch inference (see forest.go)
 	code   *cforest // quantized layout for code-space inference (see cforest.go)
 	params Params
 

@@ -46,13 +46,10 @@ func TrainWarm(d *dataset.Dataset, p Params, prev *Model) (*Model, error) {
 	// Seed per-row predictions with the previous ensemble, evaluated in
 	// raw space (the inherited trees' thresholds are raw-space values from
 	// their own training run; the new window's bins know nothing of them).
+	// The batch walk is bit-identical to per-row Predict.
 	init := make([]float64, d.Len())
-	for i, row := range d.X {
-		v, err := prev.Predict(row)
-		if err != nil {
-			return nil, err
-		}
-		init[i] = v
+	if err := prev.PredictBatch(d.X, init); err != nil {
+		return nil, err
 	}
 	return trainHistFrom(bd, bd.Codes, bd.Y, p, prev, init)
 }

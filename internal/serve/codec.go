@@ -3,12 +3,11 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
-	"unsafe"
+
+	"repro/internal/jsonwire"
 )
 
 // This file is the front door's zero-allocation request/response codec.
@@ -28,11 +27,9 @@ import (
 //
 // Encode side: appendPredictResponse builds the exact byte sequence
 // json.NewEncoder(w).Encode(PredictResponse{...}) would emit — same
-// float formatting (appendJSONFloat replicates encoding/json's
-// floatEncoder, exponent trim included), same HTML-escaped strings
-// (appendJSONString replicates its string escaper), same trailing
-// newline — into a pooled buffer. TestResponseEncoderDifferential pins
-// the equivalence.
+// float formatting and HTML-escaped strings (the jsonwire appenders
+// replicate encoding/json's), same trailing newline — into a pooled
+// buffer. TestResponseEncoderDifferential pins the equivalence.
 
 // fastReq receives the non-feature fields of one fast-decoded request.
 // src and dst alias the request body and must be interned (or copied)
@@ -50,11 +47,11 @@ func decodeFast(data []byte, reg *Registry, x []float64, fr *fastReq) bool {
 		x[i] = 0
 	}
 	fr.src, fr.dst, fr.deadline = nil, nil, 0
-	p := skipWS(data, 0)
+	p := jsonwire.SkipWS(data, 0)
 	if p >= len(data) || data[p] != '{' {
 		return false
 	}
-	p = skipWS(data, p+1)
+	p = jsonwire.SkipWS(data, p+1)
 	nfeat := 0
 	var sawSrc, sawDst, sawFeat, sawDeadline bool
 	for {
@@ -69,24 +66,24 @@ func decodeFast(data []byte, reg *Registry, x []float64, fr *fastReq) bool {
 			if data[p] != ',' {
 				return false
 			}
-			p = skipWS(data, p+1)
+			p = jsonwire.SkipWS(data, p+1)
 		}
-		key, np, ok := scanJSONString(data, p)
+		key, np, ok := jsonwire.ScanPlainString(data, p)
 		if !ok {
 			return false
 		}
-		p = skipWS(data, np)
+		p = jsonwire.SkipWS(data, np)
 		if p >= len(data) || data[p] != ':' {
 			return false
 		}
-		p = skipWS(data, p+1)
+		p = jsonwire.SkipWS(data, p+1)
 		switch string(key) {
 		case "src":
 			if sawSrc {
 				return false
 			}
 			sawSrc = true
-			if fr.src, p, ok = scanJSONString(data, p); !ok {
+			if fr.src, p, ok = jsonwire.ScanPlainString(data, p); !ok {
 				return false
 			}
 		case "dst":
@@ -94,7 +91,7 @@ func decodeFast(data []byte, reg *Registry, x []float64, fr *fastReq) bool {
 				return false
 			}
 			sawDst = true
-			if fr.dst, p, ok = scanJSONString(data, p); !ok {
+			if fr.dst, p, ok = jsonwire.ScanPlainString(data, p); !ok {
 				return false
 			}
 		case "deadline_ms":
@@ -103,7 +100,7 @@ func decodeFast(data []byte, reg *Registry, x []float64, fr *fastReq) bool {
 			}
 			sawDeadline = true
 			var v float64
-			if v, p, ok = scanJSONNumber(data, p); !ok || v < 0 {
+			if v, p, ok = jsonwire.ScanNumber(data, p); !ok || v < 0 {
 				return false
 			}
 			fr.deadline = v
@@ -122,9 +119,9 @@ func decodeFast(data []byte, reg *Registry, x []float64, fr *fastReq) bool {
 		default:
 			return false
 		}
-		p = skipWS(data, p)
+		p = jsonwire.SkipWS(data, p)
 	}
-	if skipWS(data, p) != len(data) {
+	if jsonwire.SkipWS(data, p) != len(data) {
 		return false // trailing bytes: the json path rejects, so abstain
 	}
 	return nfeat > 0
@@ -138,13 +135,13 @@ func scanFeatures(d []byte, p int, reg *Registry, x []float64) (int, int, bool) 
 	if p >= len(d) || d[p] != '{' {
 		return 0, p, false
 	}
-	p = skipWS(d, p+1)
+	p = jsonwire.SkipWS(d, p+1)
 	if p < len(d) && d[p] == '}' {
 		return 0, p + 1, true
 	}
 	n := 0
 	for {
-		name, np, ok := scanJSONString(d, p)
+		name, np, ok := jsonwire.ScanPlainString(d, p)
 		if !ok {
 			return n, np, false
 		}
@@ -152,24 +149,24 @@ func scanFeatures(d []byte, p int, reg *Registry, x []float64) (int, int, bool) 
 		if !known {
 			return n, np, false
 		}
-		p = skipWS(d, np)
+		p = jsonwire.SkipWS(d, np)
 		if p >= len(d) || d[p] != ':' {
 			return n, p, false
 		}
-		p = skipWS(d, p+1)
+		p = jsonwire.SkipWS(d, p+1)
 		var v float64
-		if v, p, ok = scanJSONNumber(d, p); !ok {
+		if v, p, ok = jsonwire.ScanNumber(d, p); !ok {
 			return n, p, false
 		}
 		x[idx] = v
 		n++
-		p = skipWS(d, p)
+		p = jsonwire.SkipWS(d, p)
 		if p >= len(d) {
 			return n, p, false
 		}
 		switch d[p] {
 		case ',':
-			p = skipWS(d, p+1)
+			p = jsonwire.SkipWS(d, p+1)
 		case '}':
 			return n, p + 1, true
 		default:
@@ -178,170 +175,7 @@ func scanFeatures(d []byte, p int, reg *Registry, x []float64) (int, int, bool) 
 	}
 }
 
-// skipWS advances past JSON whitespace (the exact set encoding/json
-// skips: space, tab, newline, carriage return).
-func skipWS(d []byte, p int) int {
-	for p < len(d) && (d[p] == ' ' || d[p] == '\t' || d[p] == '\n' || d[p] == '\r') {
-		p++
-	}
-	return p
-}
-
-// scanJSONString scans a string literal containing only printable ASCII
-// and no escapes, returning the raw bytes between the quotes. Anything
-// else — backslash escapes, control bytes, non-ASCII (where
-// encoding/json's invalid-UTF-8 coercion could change the decoded
-// value) — abstains.
-func scanJSONString(d []byte, p int) ([]byte, int, bool) {
-	if p >= len(d) || d[p] != '"' {
-		return nil, p, false
-	}
-	p++
-	start := p
-	for p < len(d) {
-		switch c := d[p]; {
-		case c == '"':
-			return d[start:p], p + 1, true
-		case c == '\\' || c < 0x20 || c >= 0x80:
-			return nil, p, false
-		default:
-			p++
-		}
-	}
-	return nil, p, false
-}
-
-// scanJSONNumber scans a number under the strict JSON grammar (no
-// leading zeros, no "+", no hex, no Inf — all shapes strconv would take
-// but encoding/json rejects), then parses it with strconv.ParseFloat,
-// the same routine encoding/json uses for float64 targets, so accepted
-// values are bit-identical to the fallback path. Range overflow
-// abstains (the json path errors there).
-func scanJSONNumber(d []byte, p int) (float64, int, bool) {
-	start := p
-	if p < len(d) && d[p] == '-' {
-		p++
-	}
-	switch {
-	case p < len(d) && d[p] == '0':
-		p++
-	case p < len(d) && d[p] >= '1' && d[p] <= '9':
-		for p < len(d) && d[p] >= '0' && d[p] <= '9' {
-			p++
-		}
-	default:
-		return 0, p, false
-	}
-	if p < len(d) && d[p] == '.' {
-		p++
-		if p >= len(d) || d[p] < '0' || d[p] > '9' {
-			return 0, p, false
-		}
-		for p < len(d) && d[p] >= '0' && d[p] <= '9' {
-			p++
-		}
-	}
-	if p < len(d) && (d[p] == 'e' || d[p] == 'E') {
-		p++
-		if p < len(d) && (d[p] == '+' || d[p] == '-') {
-			p++
-		}
-		if p >= len(d) || d[p] < '0' || d[p] > '9' {
-			return 0, p, false
-		}
-		for p < len(d) && d[p] >= '0' && d[p] <= '9' {
-			p++
-		}
-	}
-	v, err := strconv.ParseFloat(unsafeString(d[start:p]), 64)
-	if err != nil {
-		return 0, p, false
-	}
-	return v, p, true
-}
-
-// unsafeString views a byte slice as a string without copying, for
-// strconv.ParseFloat (which has no []byte form). The bytes are not
-// mutated while the view is alive.
-func unsafeString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
-
 // ---- response encoding ----
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONFloat appends f exactly as encoding/json encodes a float64:
-// 'f' form in the human range, 'e' form with the exponent's leading
-// zero trimmed outside it.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendJSONString appends s as a JSON string literal with encoding/
-// json's default escaping: quotes, backslashes, control characters,
-// the HTML trio (<, >, &), invalid UTF-8 as U+FFFD, and U+2028/U+2029.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
 
 // appendPredictResponse appends one PredictResponse line — byte for
 // byte what writeJSON (json.Encoder) emits for the same values,
@@ -349,13 +183,13 @@ func appendJSONString(dst []byte, s string) []byte {
 // label.
 func appendPredictResponse(b []byte, rate float64, jlabel []byte, gen int64, queueMS float64) []byte {
 	b = append(b, `{"rate":`...)
-	b = appendJSONFloat(b, rate)
+	b = jsonwire.AppendFloat(b, rate)
 	b = append(b, `,"model":`...)
 	b = append(b, jlabel...)
 	b = append(b, `,"generation":`...)
 	b = strconv.AppendInt(b, gen, 10)
 	b = append(b, `,"queue_ms":`...)
-	b = appendJSONFloat(b, queueMS)
+	b = jsonwire.AppendFloat(b, queueMS)
 	return append(b, '}', '\n')
 }
 

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonwire"
 )
 
 // codecOracle runs the encoding/json reference path (ParseRequest +
@@ -159,7 +161,7 @@ func TestResponseEncoderDifferential(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			jlabel := appendJSONString(nil, label)
+			jlabel := jsonwire.AppendString(nil, label)
 			got := appendPredictResponse(nil, rate, jlabel, gen, q)
 			if !bytes.Equal(got, ref.Bytes()) {
 				t.Errorf("encoding mismatch for rate=%v label=%q gen=%d q=%v:\n fast %q\n json %q",
@@ -190,7 +192,7 @@ func TestAppendJSONFloatSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, ref) {
+		if got := jsonwire.AppendFloat(nil, f); !bytes.Equal(got, ref) {
 			t.Fatalf("float encoding mismatch for %x: fast %q json %q", math.Float64bits(f), got, ref)
 		}
 		checked++

@@ -11,8 +11,8 @@
 //     and leaves the last good registry serving.
 //
 //   - Backpressure. Requests pass through a bounded admission queue into
-//     a batcher that coalesces them into the flat SoA forest's batch
-//     inference. When the queue is full, or a request has waited past its
+//     a batcher that coalesces them into the models' batch inference
+//     kernels. When the queue is full, or a request has waited past its
 //     deadline, the daemon sheds it with 429 + Retry-After instead of
 //     letting latency collapse for everyone.
 //
@@ -32,7 +32,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
+	"sort"
+	"strconv"
 
+	"repro/internal/jsonwire"
 	"repro/internal/ml/gbt"
 )
 
@@ -107,10 +111,11 @@ type edgeEntry struct {
 	isGlobal bool
 }
 
-// registryFile is the on-disk form. gbt.Model marshals through the same
-// validated payload gbt.Save/Load use, so every structural guarantee of
-// the model format (forward child indices, in-range features) holds for
-// registry-embedded models too.
+// registryFile is the on-disk form, and the wire struct the
+// encoding/json reference path decodes into. gbt.Model decodes through
+// the same validated payload gbt.Save/Load use, so every structural
+// guarantee of the model format (forward child indices, in-range
+// features) holds for registry-embedded models too.
 type registryFile struct {
 	Version   int                   `json:"version"`
 	Features  []string              `json:"features"`
@@ -120,29 +125,119 @@ type registryFile struct {
 	Probes    []Probe               `json:"probes,omitempty"`
 }
 
-// WriteRegistry writes the registry in the versioned file format.
+// WriteRegistry writes the registry in the versioned file format, in one
+// write: byte for byte what json.NewEncoder(w).Encode(&registryFile{...})
+// emits (edge keys sorted and HTML-escaped, models embedded compact,
+// trailing newline) and failing with the same errors, but appended
+// directly — models through gbt.Model.AppendJSON, with no reflection and
+// no re-compaction of their output.
 func WriteRegistry(w io.Writer, r *Registry) error {
 	if err := r.init(); err != nil {
 		return err
 	}
-	return json.NewEncoder(w).Encode(&registryFile{
-		Version:   registryVersion,
-		Features:  r.Features,
-		Tolerance: r.Tolerance,
-		Global:    r.Global,
-		Edges:     r.Edges,
-		Probes:    r.Probes,
-	})
+	b, err := appendRegistry(nil, r)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendRegistry appends the registry file in registryFile's field order.
+func appendRegistry(b []byte, r *Registry) ([]byte, error) {
+	var err error
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, registryVersion, 10)
+	b = append(b, `,"features":`...)
+	b = jsonwire.AppendStrings(b, r.Features)
+	if r.Tolerance != 0 {
+		b = append(b, `,"tolerance":`...)
+		if b, err = jsonwire.AppendFiniteFloat(b, r.Tolerance); err != nil {
+			return nil, err
+		}
+	}
+	b = append(b, `,"global":`...)
+	if b, err = appendModel(b, r.Global); err != nil {
+		return nil, err
+	}
+	if len(r.Edges) > 0 {
+		keys := make([]string, 0, len(r.Edges))
+		for k := range r.Edges {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b = append(b, `,"edges":{`...)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonwire.AppendString(b, k)
+			b = append(b, ':')
+			if b, err = appendModel(b, r.Edges[k]); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, '}')
+	}
+	if len(r.Probes) > 0 {
+		b = append(b, `,"probes":[`...)
+		for i, p := range r.Probes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '{')
+			if p.Edge != "" {
+				b = append(b, `"edge":`...)
+				b = jsonwire.AppendString(b, p.Edge)
+				b = append(b, ',')
+			}
+			b = append(b, `"x":`...)
+			if b, err = jsonwire.AppendFloats(b, p.X); err != nil {
+				return nil, err
+			}
+			b = append(b, `,"want":`...)
+			if b, err = jsonwire.AppendFiniteFloat(b, p.Want); err != nil {
+				return nil, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendModel embeds one model; its errors are wrapped the way
+// encoding/json wraps a failing Marshaler.
+func appendModel(b []byte, m *gbt.Model) ([]byte, error) {
+	if m == nil {
+		return append(b, "null"...), nil
+	}
+	b, err := m.AppendJSON(b)
+	if err != nil {
+		return nil, &json.MarshalerError{Type: reflect.TypeOf(m), Err: err}
+	}
+	return b, nil
 }
 
 // ReadRegistry parses and fully validates a registry: structure, feature
 // layouts, and every sanity probe. It never returns a registry that is
-// unsafe to promote.
+// unsafe to promote. The file is read whole and decoded in one pass when
+// it has the shape WriteRegistry emits (scanRegistry); anything else goes
+// through encoding/json, which keeps its accept set and error messages.
 func ReadRegistry(rd io.Reader) (*Registry, error) {
-	var f registryFile
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRegistry, err)
+	var f *registryFile
+	err := jsonwire.Decode(rd, func(data []byte) bool {
+		f = scanRegistry(data)
+		return f != nil
+	}, func(rd io.Reader) error {
+		f = new(registryFile)
+		if err := json.NewDecoder(rd).Decode(f); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRegistry, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if f.Version != registryVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadRegistry, f.Version)
@@ -161,6 +256,92 @@ func ReadRegistry(rd io.Reader) (*Registry, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// scanRegistry decodes a whole registry file in one pass, or returns nil
+// to defer to encoding/json: on unknown or repeated keys (a repeated
+// "edges" object merges there), null anywhere but a probe's inputs, and
+// whatever gbt.ScanJSON defers.
+func scanRegistry(data []byte) *registryFile {
+	s := jsonwire.NewScanner(data)
+	f := new(registryFile)
+	var seen uint8
+	ok := s.Object(func(key []byte) bool {
+		var bit uint8
+		ok := false
+		switch string(key) {
+		case "version":
+			bit = 1
+			f.Version, ok = s.Int()
+		case "features":
+			bit = 2
+			f.Features, ok = s.Strings()
+		case "tolerance":
+			bit = 4
+			f.Tolerance, ok = s.Float()
+		case "global":
+			bit = 8
+			f.Global, ok = gbt.ScanJSON(s)
+		case "edges":
+			bit = 16
+			f.Edges = map[string]*gbt.Model{}
+			ok = s.Object(func(key []byte) bool {
+				edge := string(key)
+				if _, dup := f.Edges[edge]; dup {
+					return false
+				}
+				m, ok := gbt.ScanJSON(s)
+				f.Edges[edge] = m
+				return ok
+			})
+		case "probes":
+			bit = 32
+			f.Probes = []Probe{}
+			ok = s.Array(func() bool {
+				var p Probe
+				ok := scanProbe(s, &p)
+				f.Probes = append(f.Probes, p)
+				return ok
+			})
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
+	if !ok || !s.End() {
+		return nil
+	}
+	return f
+}
+
+// scanProbe decodes one probe object; absent keys stay zero, and a null
+// input vector (what WriteRegistry writes for a nil one) stays nil.
+func scanProbe(s *jsonwire.Scanner, p *Probe) bool {
+	var seen uint8
+	return s.Object(func(key []byte) bool {
+		var bit uint8
+		ok := false
+		switch string(key) {
+		case "edge":
+			bit = 1
+			p.Edge, ok = s.String()
+		case "x":
+			bit = 2
+			if ok = s.Null(); !ok {
+				p.X, ok = s.Floats()
+			}
+		case "want":
+			bit = 4
+			p.Want, ok = s.Float()
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
 }
 
 // LoadRegistryFile reads and validates the registry at path.
@@ -201,7 +382,7 @@ func (r *Registry) init() error {
 	if err := r.checkModel("global", r.Global); err != nil {
 		return err
 	}
-	r.global = &edgeEntry{m: r.Global, label: "global", jlabel: appendJSONString(nil, "global"), isGlobal: true}
+	r.global = &edgeEntry{m: r.Global, label: "global", jlabel: jsonwire.AppendString(nil, "global"), isGlobal: true}
 	r.srcIdx = make(map[string]map[string]*edgeEntry, len(r.Edges))
 	for edge, m := range r.Edges {
 		if err := r.checkModel("edge "+edge, m); err != nil {
@@ -212,7 +393,7 @@ func (r *Registry) init() error {
 			label:  "edge:" + edge,
 			latKey: fmt.Sprintf("serve.latency_ms{edge=%q}", edge),
 		}
-		e.jlabel = appendJSONString(nil, e.label)
+		e.jlabel = jsonwire.AppendString(nil, e.label)
 		// Register the entry under every (src, dst) split of the key, so
 		// the index answers exactly the pairs whose src+"->"+dst
 		// concatenation equals this key — including pathological keys
@@ -333,10 +514,10 @@ func (r *Registry) lookupEntry(src, dst string) *edgeEntry {
 		key := src + "->" + dst
 		if m := r.Edges[key]; m != nil {
 			return &edgeEntry{m: m, src: src, dst: dst, label: "edge:" + key,
-				jlabel: appendJSONString(nil, "edge:"+key),
+				jlabel: jsonwire.AppendString(nil, "edge:"+key),
 				latKey: fmt.Sprintf("serve.latency_ms{edge=%q}", key)}
 		}
-		return &edgeEntry{m: r.Global, label: "global", jlabel: appendJSONString(nil, "global"), isGlobal: true}
+		return &edgeEntry{m: r.Global, label: "global", jlabel: jsonwire.AppendString(nil, "global"), isGlobal: true}
 	}
 	return r.global
 }

@@ -70,15 +70,14 @@ func EvalDrift(blessed, cand *gbt.Model, eval *dataset.Dataset) (DriftMetrics, e
 	}
 	bp := make([]float64, eval.Len())
 	cp := make([]float64, eval.Len())
+	if err := blessed.PredictBatch(eval.X, bp); err != nil {
+		return m, fmt.Errorf("stream: blessed model: %w", err)
+	}
+	if err := cand.PredictBatch(eval.X, cp); err != nil {
+		return m, fmt.Errorf("stream: candidate model: %w", err)
+	}
 	div := make([]float64, eval.Len())
-	for i, row := range eval.X {
-		var err error
-		if bp[i], err = blessed.Predict(row); err != nil {
-			return m, fmt.Errorf("stream: blessed model: %w", err)
-		}
-		if cp[i], err = cand.Predict(row); err != nil {
-			return m, fmt.Errorf("stream: candidate model: %w", err)
-		}
+	for i := range div {
 		div[i] = math.Abs(cp[i]-bp[i]) / math.Max(math.Abs(bp[i]), 1)
 	}
 	var err error

@@ -117,7 +117,8 @@ func removeRec(list []*winRec, wr *winRec) []*winRec {
 }
 
 // candRange returns the sublist whose start times fall in
-// [rk.Ts − maxDur, rk.Te] — the same bounds features.candidates uses.
+// [rk.Ts − maxDur, rk.Te]: every competitor that can overlap rk, plus
+// some that cannot, which add nothing to the sums.
 func candRange(list []*winRec, rk *logs.Record, maxDur float64) []*winRec {
 	lo := sort.Search(len(list), func(i int) bool { return list[i].rec.Ts >= rk.Ts-maxDur })
 	hi := sort.Search(len(list), func(i int) bool { return list[i].rec.Ts > rk.Te })
@@ -182,9 +183,9 @@ func (w *Window) markOverlapping(wr *winRec) {
 	}
 }
 
-// foldKS mirrors features.accumulate over a window list: the
-// overlap-scaled aggregate rate (K) and TCP stream count (S) of the
-// competitors in list, folded in ascending (Ts, ID) order.
+// foldKS mirrors the K and S sums of features.accumulate over a window
+// list: the overlap-scaled aggregate rate (K) and TCP stream count (S)
+// of the competitors in list, folded in ascending (Ts, ID) order.
 func foldKS(list []*winRec, self *winRec, maxDur float64) (kRate, sStreams float64) {
 	rk := &self.rec
 	dur := rk.Duration()
@@ -207,7 +208,7 @@ func foldKS(list []*winRec, self *winRec, maxDur float64) (kRate, sStreams float
 	return kRate, sStreams
 }
 
-// foldG mirrors features.instances over a window list.
+// foldG mirrors the G sum of features.accumulate over a window list.
 func foldG(list []*winRec, self *winRec, maxDur float64) float64 {
 	rk := &self.rec
 	dur := rk.Duration()

@@ -164,7 +164,7 @@ func BenchmarkServeBatchInference(b *testing.B) {
 }
 
 // BenchmarkServeBatchInferenceFloat is the same coalesced batch through
-// the float SoA traversal (PredictBatch) — the in-tree A/B partner for
+// the blocked float-forest walk (PredictBatch) — the in-tree A/B partner for
 // BenchmarkServeBatchInference, isolating the code-space speedup from
 // model or data drift between bench runs.
 func BenchmarkServeBatchInferenceFloat(b *testing.B) {
