@@ -743,6 +743,19 @@ func buildRefreshInputs(in *refreshBenchInputs) error {
 	return fmt.Errorf("log ended before the stream's global model grew from 550 to 600 trees")
 }
 
+// BenchmarkRegistryBuild trains the serving registry on the SmallConfig
+// pipeline: every study edge's model and the global model, side by side
+// on the worker pool, the training half of `wanperf registry`.
+func BenchmarkRegistryBuild(b *testing.B) {
+	pl, edges := benchPipeline(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.Build(context.Background(), pl, edges); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRegistryLoad decodes and validates a registry file, the work
 // `wanperf serve` does at boot and on every -watch reload.
 func BenchmarkRegistryLoad(b *testing.B) {

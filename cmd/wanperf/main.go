@@ -683,13 +683,18 @@ func cmdChaos(c cmdContext) error {
 
 // cmdRegistry trains the serving registry from the simulated pipeline and
 // writes it to -out (stdout by default) — the artifact `wanperf serve`
-// loads.
+// loads. Under -trace the two stages run in the registry.build and
+// registry.write spans, beside the pipeline's simulate and features.
 func cmdRegistry(c cmdContext) error {
 	fmt.Fprintf(os.Stderr, "training registry: %d edge models + global...\n", len(c.edges))
+	sp := c.o.Child("registry.build")
 	reg, err := serve.Build(c.ctx, c.pl, c.edges)
+	sp.End()
 	if err != nil {
 		return err
 	}
+	sp = c.o.Child("registry.write")
+	defer sp.End()
 	return withOutput(c.opts.out, func(w io.Writer) error {
 		return serve.WriteRegistry(w, reg)
 	})

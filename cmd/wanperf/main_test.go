@@ -121,6 +121,50 @@ func TestObsFlagsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRegistryTraceSpans checks that `wanperf registry -trace` measures
+// every stage of time-to-serve directly: simulate, features, the registry
+// build and the registry write, each closed and nested under the command's
+// root span.
+func TestRegistryTraceSpans(t *testing.T) {
+	dir := t.TempDir()
+	tfile := filepath.Join(dir, "trace.json")
+	if code := realMain(context.Background(), []string{"registry", "-small",
+		"-out", filepath.Join(dir, "registry.json"), "-trace", tfile}); code != 0 {
+		t.Fatalf("realMain exited %d", code)
+	}
+	tb, err := os.ReadFile(tfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		Spans []obs.SpanSnapshot `json:"spans"`
+	}
+	if err := json.Unmarshal(tb, &tr); err != nil {
+		t.Fatalf("trace JSON invalid: %v", err)
+	}
+	rootID := -1
+	for _, sp := range tr.Spans {
+		if sp.Name == "wanperf.registry" {
+			rootID = sp.ID
+		}
+	}
+	for _, name := range []string{"simulate", "features", "registry.build", "registry.write"} {
+		found := false
+		for _, sp := range tr.Spans {
+			if sp.Name != name {
+				continue
+			}
+			found = true
+			if sp.Open || sp.Parent != rootID {
+				t.Errorf("span %s: open=%v parent=%d, want closed under wanperf.registry (%d)", name, sp.Open, sp.Parent, rootID)
+			}
+		}
+		if !found {
+			t.Errorf("trace missing span %q", name)
+		}
+	}
+}
+
 // TestObsFlagsParsed pins the flag plumbing without running a pipeline.
 func TestObsFlagsParsed(t *testing.T) {
 	_, _, opts, err := parseArgs([]string{"edges",

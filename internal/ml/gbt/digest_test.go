@@ -39,7 +39,8 @@ func digestCases() []digestCase {
 	// ties: coarse-grid values, so many rows share a bin and most bins of
 	// a 256-bin histogram stay empty.
 	ties := func(t *testing.T) *dataset.Dataset { return equivDataset(t, 300, 6, 102, 0.25) }
-	// wide: large enough that root histograms fan out over workers.
+	// wide: 1,500 rows trained at Workers = 4, which sets batch-inference
+	// goroutines only: the model must not depend on it.
 	wide := func(t *testing.T) *dataset.Dataset { return equivDataset(t, 1500, 10, 103, 0) }
 	train := func(mk func(*testing.T) *dataset.Dataset, edit func(*Params)) func(*testing.T) *Model {
 		return func(t *testing.T) *Model {

@@ -53,7 +53,7 @@ type Params struct {
 	SubsampleRows  float64 // fraction of rows sampled per tree (0,1]
 	SubsampleCols  float64 // fraction of features considered per tree (0,1]
 	Seed           int64   // RNG seed for subsampling
-	Workers        int     // split-search goroutines (0 = GOMAXPROCS)
+	Workers        int     // batch-inference goroutines (0 = GOMAXPROCS); each fit runs on one goroutine
 
 	// Bins is the quantization level, 2..256: every feature is mapped
 	// once per training run onto at most Bins quantile bins, and splits

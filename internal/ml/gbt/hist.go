@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ml/dataset"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Histogram-binned training, the package's one trainer: the quantized
@@ -29,14 +28,16 @@ import (
 //   - only the smaller child of a split ever has its histogram built by
 //     scanning rows — the larger child's is the parent's minus the smaller
 //     child's, bin by bin (the subtraction trick), so each level of a tree
-//     scans at most half the parent's rows;
+//     scans at most half the parent's rows — and children at MaxDepth,
+//     which can only be leaves, get no histogram at all;
 //   - the binned matrix is immutable and row-subsettable, so CV folds and
 //     hyperparameter-grid points share one quantization (see tune.Search).
 //
-// The path is deterministic — row subsampling is seeded, histograms are
-// accumulated feature-serially in row order, and the winning split is
-// reduced in ascending feature order with a strictly-greater rule — so the
-// same inputs always yield the same model regardless of worker count. It
+// The path is deterministic — each fit runs on one goroutine, row
+// subsampling is seeded, histograms are accumulated feature by feature in
+// row order, and the winning split is reduced in ascending feature order
+// with a strictly-greater rule — so the same inputs always yield the same
+// model regardless of Params.Workers or GOMAXPROCS. It
 // is NOT bit-identical to the exact greedy search the tests keep as their
 // reference (trainReference): quantile cuts coarsen candidate thresholds
 // and the accumulation order differs, so the two are related by the
@@ -75,18 +76,13 @@ func TrainBinned(bd *dataset.Binned, view []int, p Params) (*Model, error) {
 			y[k] = bd.Y[i]
 		}
 	}
-	return trainHist(bd, codes, y, p)
-}
-
-// trainHist is the boosting loop: tree construction is delegated to
-// histBuilder and per-round prediction updates are routed through the bin
-// codes (code-space and raw-space traversal agree exactly; see
-// dataset.Binned).
-func trainHist(bd *dataset.Binned, codes [][]uint8, y []float64, p Params) (*Model, error) {
 	return trainHistFrom(bd, codes, y, p, nil, nil)
 }
 
-// trainHistFrom is trainHist with an optional warm start: when prev is
+// trainHistFrom is the boosting loop: tree construction is delegated to
+// histBuilder and per-round prediction updates are routed through the bin
+// codes (code-space and raw-space traversal agree exactly; see
+// dataset.Binned). It takes an optional warm start: when prev is
 // non-nil, boosting continues from prev's ensemble — the base stays
 // prev's, per-row predictions start from init (prev evaluated on the
 // training rows, computed by the caller in raw space), and prev's trees
@@ -219,8 +215,8 @@ func (w *flatWriter) reserve() int32 {
 
 // histBuilder holds the per-training-run state of histogram tree growth.
 // Histograms are pooled histBufs covering every feature's bins at
-// per-feature offsets; at most depth+1 are ever live (root plus one small
-// child per level).
+// per-feature offsets; at most MaxDepth are ever live (root plus one small
+// child per level above the leaves).
 type histBuilder struct {
 	codes   [][]uint8 // column-major bin codes, dense positions 0..n-1
 	cuts    [][]float64
@@ -239,8 +235,9 @@ type histBuilder struct {
 	splitBin []uint8    // per emitted node: the split's bin (training only)
 	pred     []float64  // per-row predictions, advanced by each leaf
 
-	measure bool
-	splitNS int64
+	measure    bool
+	splitNS    int64
+	histBuilds int // buildHist calls; read by tests
 }
 
 // occWords is the number of occupancy words per feature: codes are uint8,
@@ -396,24 +393,25 @@ func (hb *histBuilder) grow(rows []int32, cols []int, hist *histBuf, grad []floa
 	// Subtraction trick: scan only the smaller child; the larger child's
 	// histogram is parent − smaller, computed in place into the parent's
 	// buffer (the parent histogram is dead once its children exist).
-	small := left
-	if len(right) < len(left) {
-		small = right
-	}
-	smallHist := hb.getHist()
-	hb.buildHist(small, cols, smallHist, grad)
-	hb.subtract(hist, smallHist, cols)
-
-	leftHist, rightHist := smallHist, hist
-	if len(right) < len(left) {
-		leftHist, rightHist = hist, smallHist
+	// Children at MaxDepth can only become leaves, which read no
+	// histogram, so they get none.
+	var leftHist, rightHist *histBuf
+	if depth+1 < hb.p.MaxDepth {
+		smallHist := hb.getHist()
+		defer hb.putHist(smallHist)
+		small := left
+		leftHist, rightHist = smallHist, hist
+		if len(right) < len(left) {
+			small, leftHist, rightHist = right, hist, smallHist
+		}
+		hb.buildHist(small, cols, smallHist, grad)
+		hb.subtract(hist, smallHist, cols)
 	}
 
 	idx := hb.w.reserve()
 	hb.splitBin = append(hb.splitBin, uint8(splitBin))
 	leftIdx := hb.grow(left, cols, leftHist, grad, depth+1)
 	rightIdx := hb.grow(right, cols, rightHist, grad, depth+1)
-	hb.putHist(smallHist)
 	hb.w.nodes[idx] = node{
 		feature:   int32(bestFeat),
 		threshold: thresh,
@@ -475,17 +473,11 @@ func (hb *histBuilder) threshold(hist []float64, f, bin int) (float64, int) {
 // buildHist accumulates the (gradient, hessian) histogram of rows for the
 // given columns into h, which must be all-zero (fresh from the pool): each
 // row adds its gradient and a unit hessian — hessian sums are exact row
-// counts — and sets its bin's occupancy bit. Features' regions are
-// disjoint, so the feature fan-out is race-free and the per-feature
-// accumulation order (ascending row position) is identical serial or
-// parallel.
+// counts — and sets its bin's occupancy bit. It runs on the fit's one
+// goroutine; training parallelism lives at the model level (one fit per
+// pool task), which beats fanning a node out over features.
 func (hb *histBuilder) buildHist(rows []int32, cols []int, h *histBuf, grad []float64) {
-	// The fan-out only pays off when the node is large; small nodes run
-	// serially. Either way each feature is accumulated identically.
-	if hb.p.Workers > 1 && len(cols) > 1 && len(rows)*len(cols) >= 8192 {
-		pool.Do(len(cols), hb.p.Workers, func(ci int) { hb.fillHist(rows, cols[ci], h, grad) })
-		return
-	}
+	hb.histBuilds++
 	for _, f := range cols {
 		hb.fillHist(rows, f, h, grad)
 	}

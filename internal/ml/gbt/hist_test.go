@@ -330,3 +330,57 @@ func TestTrainBinnedAllocsFlat(t *testing.T) {
 			perRound, lo, hi)
 	}
 }
+
+// TestHistBuildsPerTree pins the leaf-level rule: a split whose children
+// sit at MaxDepth builds no child histogram, since those children can
+// only be leaves. A tree therefore builds its root histogram plus one per
+// internal node above depth MaxDepth−1: exactly 1 for a stump, at most
+// 2^(d−1) for depth d.
+func TestHistBuildsPerTree(t *testing.T) {
+	d := equivDataset(t, 1500, 10, 103, 0)
+	bd, err := dataset.Bin(d, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 2, 4, 6} {
+		p := histParams(256)
+		p.MaxDepth = depth
+		p.fillDefaults()
+		hb := newHistBuilder(bd, bd.Codes, p)
+		n := bd.Len()
+		rows, cols := identity(n), identity(bd.NumFeatures())
+		pred, grad := make([]float64, n), make([]float64, n)
+		for round := 0; round < 20; round++ {
+			for i := range grad {
+				grad[i] = pred[i] - bd.Y[i]
+			}
+			before := hb.histBuilds
+			tr := hb.build(rows, cols, grad, pred)
+			got := hb.histBuilds - before
+			// Count the internal nodes above depth MaxDepth−1.
+			want := 1
+			var walk func(i int32, dep int)
+			walk = func(i int32, dep int) {
+				nd := tr.nodes[i]
+				if nd.feature < 0 {
+					return
+				}
+				if dep+1 < depth {
+					want++
+				}
+				walk(nd.left, dep+1)
+				walk(nd.right, dep+1)
+			}
+			walk(0, 0)
+			if got != want {
+				t.Fatalf("depth %d round %d: %d histograms built, want %d", depth, round, got, want)
+			}
+			if limit := 1 << (depth - 1); got > limit {
+				t.Fatalf("depth %d round %d: %d histograms built, want at most %d", depth, round, got, limit)
+			}
+			if depth == 4 && round == 0 && got != 8 {
+				t.Errorf("full depth-4 tree built %d histograms, want 8", got)
+			}
+		}
+	}
+}

@@ -6,12 +6,14 @@
 package tune
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/ml/dataset"
 	"repro/internal/ml/gbt"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -122,20 +124,40 @@ func Search(d *dataset.Dataset, g Grid, folds int, seed int64) (Result, error) {
 	}
 
 	// Shared binning cache: one dataset.Binned per distinct quantization
-	// level, built lazily from the full dataset and reused — by row-index
+	// level, built once from the full dataset and reused — by row-index
 	// subsetting, never re-binning — across every fold of every candidate.
 	cache := binCache{d: d}
+	binned := make([]*dataset.Binned, len(candidates))
+	for c := range candidates {
+		candidates[c].Seed = seed
+		bd, err := cache.get(candidates[c].Bins)
+		if err != nil {
+			return res, err
+		}
+		binned[c] = bd
+	}
+
+	// Every candidate × fold fit is one pool task on one goroutine, and
+	// writes only its own slot; each candidate's fold scores are then
+	// summed in fold order, so scores and Best do not depend on the
+	// worker count or the order the fits finish in.
+	k := len(splits)
+	mdapes := make([]float64, len(candidates)*k)
+	err := pool.ForEach(context.TODO(), len(mdapes), pool.Workers(), func(_ context.Context, t int) error {
+		md, err := foldMdAPE(splits[t%k], candidates[t/k], binned[t/k])
+		mdapes[t] = md
+		return err
+	})
+	if err != nil {
+		return res, err
+	}
 	res.BestScore = math.Inf(1)
-	for _, params := range candidates {
-		params.Seed = seed
-		bd, err := cache.get(params.Bins)
-		if err != nil {
-			return res, err
+	for c, params := range candidates {
+		var sum float64
+		for _, md := range mdapes[c*k : (c+1)*k] {
+			sum += md
 		}
-		score, err := crossValidate(splits, params, bd)
-		if err != nil {
-			return res, err
-		}
+		score := sum / float64(k)
 		res.Scores = append(res.Scores, CandidateScore{Params: params, MdAPE: score})
 		if score < res.BestScore {
 			res.BestScore = score
@@ -229,28 +251,20 @@ func permutation(n int, seed int64) []int {
 	return out
 }
 
-// crossValidate returns the mean validation MdAPE over the folds. Training
-// subsets the shared binned matrix by the fold's row indices; validation
-// scores against the raw feature rows, which the binned trees evaluate
-// exactly (thresholds are raw-space cut points).
-func crossValidate(folds []fold, params gbt.Params, bd *dataset.Binned) (float64, error) {
-	var sum float64
-	for _, f := range folds {
-		m, err := gbt.TrainBinned(bd, f.trainIdx, params)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := m.PredictAll(f.valid)
-		if err != nil {
-			return 0, err
-		}
-		md, err := stats.MdAPE(f.valid.Y, pred)
-		if err != nil {
-			return 0, err
-		}
-		sum += md
+// foldMdAPE trains params on one fold and returns its validation MdAPE.
+// Training subsets the shared binned matrix by the fold's row indices;
+// validation scores against the raw feature rows, which the binned trees
+// evaluate exactly (thresholds are raw-space cut points).
+func foldMdAPE(f fold, params gbt.Params, bd *dataset.Binned) (float64, error) {
+	m, err := gbt.TrainBinned(bd, f.trainIdx, params)
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(len(folds)), nil
+	pred, err := m.PredictAll(f.valid)
+	if err != nil {
+		return 0, err
+	}
+	return stats.MdAPE(f.valid.Y, pred)
 }
 
 // TrainBest runs Search and then fits the winning configuration on the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/ml/dataset"
@@ -124,19 +126,24 @@ func TestSearchFindsReasonableModel(t *testing.T) {
 	}
 }
 
+// TestSearchDeterministic runs the same search on the worker pool and on
+// one goroutine: the fits finish in different orders, but every score
+// and the winner must be identical.
 func TestSearchDeterministic(t *testing.T) {
 	d := makeData(t, 150, 3)
-	g := Grid{Rounds: []int{40}, MaxDepth: []int{3, 5}}
+	g := Grid{Rounds: []int{40}, MaxDepth: []int{3, 5}, LearningRate: []float64{0.1, 0.2}}
 	r1, err := Search(d, g, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
 	r2, err := Search(d, g, 3, 9)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.BestScore != r2.BestScore || r1.Best.MaxDepth != r2.Best.MaxDepth {
-		t.Error("search not deterministic")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Errorf("search not deterministic:\n%+v\n%+v", r1, r2)
 	}
 }
 

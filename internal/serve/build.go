@@ -22,9 +22,11 @@ const probesPerModel = 3
 // (faults excluded — unknown before a transfer runs). Unlike the
 // evaluation models these train on all qualifying rows (no held-out
 // split): the registry is the production artifact, not an experiment.
-// Edges train in parallel on the worker pool; output is deterministic in
-// the pipeline's seed because each edge's model seed is derived from its
-// name.
+// The global model and the edge models train side by side on one worker
+// pool, one goroutine per fit, the global model first because it is the
+// largest. Output is deterministic in the pipeline's seed, whatever the
+// worker count or finishing order, because each model's seed is derived
+// from its name and each fit fills its own slot.
 func Build(ctx context.Context, pl *core.Pipeline, edges []core.EdgeData) (*Registry, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("serve: no study edges to build a registry from")
@@ -35,11 +37,22 @@ func Build(ctx context.Context, pl *core.Pipeline, edges []core.EdgeData) (*Regi
 		Tolerance: 1e-6,
 	}
 
-	models := make([]*gbt.Model, len(edges))
-	err := pool.ForEach(ctx, len(edges), pool.Workers(), func(_ context.Context, i int) error {
-		m, err := trainServing(pl, edges[i].Qualifying, edgeSeed(edges[i].Edge.String()))
+	var allIdx []int
+	for _, ed := range edges {
+		allIdx = append(allIdx, ed.Qualifying...)
+	}
+	// Task 0 is the global model, the largest fit, so it starts first and
+	// the edge models fill the other workers around it.
+	models := make([]*gbt.Model, 1+len(edges))
+	err := pool.ForEach(ctx, len(models), pool.Workers(), func(_ context.Context, i int) error {
+		idx, name, what := allIdx, "global", "global model"
+		if i > 0 {
+			ed := edges[i-1]
+			idx, name, what = ed.Qualifying, ed.Edge.String(), "edge "+ed.Edge.String()
+		}
+		m, err := trainServing(pl, idx, edgeSeed(name))
 		if err != nil {
-			return fmt.Errorf("edge %s: %w", edges[i].Edge, err)
+			return fmt.Errorf("%s: %w", what, err)
 		}
 		models[i] = m
 		return nil
@@ -47,29 +60,19 @@ func Build(ctx context.Context, pl *core.Pipeline, edges []core.EdgeData) (*Regi
 	if err != nil {
 		return nil, err
 	}
-
-	var allIdx []int
-	for i, ed := range edges {
-		key := ed.Edge.String()
-		reg.Edges[key] = models[i]
-		allIdx = append(allIdx, ed.Qualifying...)
-	}
-	global, err := trainServing(pl, allIdx, edgeSeed("global"))
-	if err != nil {
-		return nil, fmt.Errorf("global model: %w", err)
-	}
-	reg.Global = global
-
 	// Embed sanity probes: the model's own predictions on a few of its
 	// training rows, recorded at build time.
+	reg.Global = models[0]
 	for i, ed := range edges {
-		probes, err := makeProbes(pl, ed.Edge.String(), models[i], ed.Qualifying)
+		key := ed.Edge.String()
+		reg.Edges[key] = models[1+i]
+		probes, err := makeProbes(pl, key, models[1+i], ed.Qualifying)
 		if err != nil {
 			return nil, err
 		}
 		reg.Probes = append(reg.Probes, probes...)
 	}
-	globalProbes, err := makeProbes(pl, "", global, allIdx)
+	globalProbes, err := makeProbes(pl, "", reg.Global, allIdx)
 	if err != nil {
 		return nil, err
 	}
