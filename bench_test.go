@@ -537,6 +537,34 @@ func BenchmarkFeatureEngineering(b *testing.B) {
 	}
 }
 
+var (
+	replayOnce sync.Once
+	replayLog  *logs.Log
+	replayErr  error
+	replayVecs []features.Vector
+)
+
+// BenchmarkWindowReplay replays the DefaultConfig log, in the order the
+// simulator writes it, through a stream.Window at `wanperf stream`'s
+// defaults: 4,096 resident records, with every resident's features read
+// after each 512 adds, the refresh cadence.
+func BenchmarkWindowReplay(b *testing.B) {
+	replayOnce.Do(func() { replayLog, _, replayErr = simulate.GenerateLog(simulate.DefaultConfig()) })
+	if replayErr != nil {
+		b.Fatal(replayErr)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := stream.NewWindow(4096)
+		for k, r := range replayLog.Records {
+			w.Add(r)
+			if (k+1)%512 == 0 {
+				replayVecs = w.Vectors()
+			}
+		}
+	}
+}
+
 // BenchmarkGBTTrainHist measures boosted-tree training at 256 bins on
 // one edge's feature matrix.
 func BenchmarkGBTTrainHist(b *testing.B) {

@@ -76,6 +76,32 @@ func TestEngineerColumnsMatchesRows(t *testing.T) {
 	}
 }
 
+// TestEngineerColumnsWideStreams pins the column path to the row path
+// when a competitor drives more than 2^31 TCP streams: min(C, Nf) × P
+// must not wrap in the table's int32 columns.
+func TestEngineerColumnsWideStreams(t *testing.T) {
+	l := logs.NewLog()
+	l.Append(logs.Record{ID: 1, Src: "a", Dst: "b", Ts: 0, Te: 100, Bytes: 1e9, Files: 1, Conc: 1, Par: 1})
+	l.Append(logs.Record{ID: 2, Src: "a", Dst: "c", Ts: 50, Te: 150, Bytes: 1e9, Files: 70000, Conc: 70000, Par: 70000})
+	var buf bytes.Buffer
+	if err := colfmt.WriteLog(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	tab, _, err := colfmt.ReadTable(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols := Engineer(l), EngineerColumns(tab)
+	if want := 0.5 * 70000 * 70000; rows[0].Ssout != want {
+		t.Fatalf("row path Ssout = %v, want %v", rows[0].Ssout, want)
+	}
+	for i := range rows {
+		if rows[i] != cols[i] {
+			t.Fatalf("vector %d differs\nrow: %+v\ncol: %+v", i, rows[i], cols[i])
+		}
+	}
+}
+
 // TestEngineerColumnsSerialMatches pins the columnar pool path to a
 // single-worker run, mirroring the row path's serial-equivalence test.
 func TestEngineerColumnsSerialMatches(t *testing.T) {

@@ -87,93 +87,71 @@ func (v *Vector) RelativeExternalLoad() float64 {
 	return d
 }
 
-// epIndex holds, for one endpoint, the indices of log records that use it
-// as source and as destination, each sorted by start time, with the
-// running maximum end time along each list (see firstOverlap).
-type epIndex struct {
-	asSrc, asDst   []int
-	srcEnd, dstEnd []float64
-}
-
-// Engineer computes feature vectors for every record in the log. The log
-// is sorted by start time as a side effect. The per-record overlap
-// analysis runs on a worker pool sized to the available CPUs; each record
-// only reads the shared index and writes its own output slot, so the
-// result is identical to the serial computation (engineerSerial in the
-// tests pins this).
-func Engineer(l *logs.Log) []Vector {
-	return engineer(l, pool.Workers())
-}
-
-func engineer(l *logs.Log, workers int) []Vector {
-	l.SortByStart()
-	recs := l.Records
-
-	idx := map[string]*epIndex{}
-	get := func(id string) *epIndex {
-		e, ok := idx[id]
-		if !ok {
-			e = &epIndex{}
-			idx[id] = e
-		}
-		return e
+// NewVector returns the vector of r's own fields: its rate, tunables and
+// dataset shape. The contending-load fields are zero until Contend fills
+// them, and RecordIdx is left to the caller.
+func NewVector(r *logs.Record) Vector {
+	return Vector{
+		Rate: r.Rate(),
+		C:    float64(r.Conc),
+		P:    float64(r.Par),
+		Nf:   float64(r.Files),
+		Nd:   float64(r.Dirs),
+		Nb:   r.Bytes,
+		Nflt: float64(r.Faults),
 	}
-	for i := range recs {
-		r := &recs[i]
-		src, dst := get(r.Src), get(r.Dst)
-		src.asSrc = append(src.asSrc, i)
-		src.srcEnd = appendMaxEnd(src.srcEnd, r.Te)
-		dst.asDst = append(dst.asDst, i)
-		dst.dstEnd = appendMaxEnd(dst.dstEnd, r.Te)
-	}
-	// Records are in start order already, so the per-endpoint index lists
-	// are sorted by Ts too. From here the index is read-only.
-
-	out := make([]Vector, len(recs))
-	pool.Do(len(recs), workers, func(k int) {
-		rk := &recs[k]
-		v := Vector{
-			RecordIdx: k,
-			Rate:      rk.Rate(),
-			C:         float64(rk.Conc),
-			P:         float64(rk.Par),
-			Nf:        float64(rk.Files),
-			Nd:        float64(rk.Dirs),
-			Nb:        rk.Bytes,
-			Nflt:      float64(rk.Faults),
-		}
-		src := idx[rk.Src]
-		dst := idx[rk.Dst]
-
-		// G counts every competing transfer touching the endpoint in
-		// either direction (§4.3.1: "all transfers except k that have
-		// srck as their source or destination").
-		var g1, g2 float64
-		v.Ksout, v.Ssout, g1 = accumulate(recs, src.asSrc, src.srcEnd, rk, k)
-		v.Ksin, v.Ssin, g2 = accumulate(recs, src.asDst, src.dstEnd, rk, k)
-		v.Gsrc = g1 + g2
-		v.Kdout, v.Sdout, g1 = accumulate(recs, dst.asSrc, dst.srcEnd, rk, k)
-		v.Kdin, v.Sdin, g2 = accumulate(recs, dst.asDst, dst.dstEnd, rk, k)
-		v.Gdst = g1 + g2
-
-		out[k] = v
-	})
-	return out
 }
 
-// appendMaxEnd extends a list's running maximum of end times by te.
-func appendMaxEnd(maxEnd []float64, te float64) []float64 {
-	if n := len(maxEnd); n > 0 && maxEnd[n-1] > te {
-		te = maxEnd[n-1]
-	}
-	return append(maxEnd, te)
+// Load holds, per row, the columns the Eq. 2 fold reads: start and end
+// times, achieved rate, and TCP stream and GridFTP process counts. The
+// counts are stored as the float64 of logs.Record's int methods, so they
+// hold any value those return. Batch engineering keeps one row per
+// record; the stream window keeps one row per resident slot.
+type Load struct {
+	Ts, Te, Rate, Streams, Procs []float64
 }
 
-// firstOverlap returns the first position of a start-sorted list whose
-// running maximum end exceeds ts. Every entry before it ended by ts, so
-// its overlap with a transfer starting at ts is zero: the Eq. 2 scan can
-// begin there without dropping a single nonzero term.
-func firstOverlap(maxEnd []float64, ts float64) int {
+// Set stores r as row i. When i is the current row count, Set appends
+// the row.
+func (ld *Load) Set(i int, r *logs.Record) {
+	if i == len(ld.Ts) {
+		ld.Ts, ld.Te, ld.Rate = append(ld.Ts, 0), append(ld.Te, 0), append(ld.Rate, 0)
+		ld.Streams, ld.Procs = append(ld.Streams, 0), append(ld.Procs, 0)
+	}
+	ld.Ts[i], ld.Te[i], ld.Rate[i] = r.Ts, r.Te, r.Rate()
+	ld.Streams[i], ld.Procs[i] = float64(r.Streams()), float64(r.Processes())
+}
+
+// Overlap returns O(i,k) = max(0, min(Tei,Tek) − max(Tsi,Tsk)).
+func (ld *Load) Overlap(i, k int) float64 {
+	lo := ld.Ts[i]
+	if ld.Ts[k] > lo {
+		lo = ld.Ts[k]
+	}
+	hi := ld.Te[i]
+	if ld.Te[k] < hi {
+		hi = ld.Te[k]
+	}
+	if hi <= lo {
+		return 0
+	}
+	return hi - lo
+}
+
+// EpList is one endpoint's rows in one direction, ordered by start time,
+// with the running maximum of their end times (MaxEnd[j] is the latest
+// end among IDs[:j+1]).
+type EpList struct {
+	IDs    []int32
+	MaxEnd []float64
+}
+
+// From returns the first position whose running maximum end exceeds ts.
+// Every entry before it ended by ts, so its overlap with a transfer
+// starting at ts is zero: an Eq. 2 scan can begin there without dropping
+// a single nonzero term.
+func (e *EpList) From(ts float64) int {
+	maxEnd := e.MaxEnd
 	lo, hi := 0, len(maxEnd)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -186,56 +164,148 @@ func firstOverlap(maxEnd []float64, ts float64) int {
 	return lo
 }
 
-// Overlap exposes the Eq. 2 overlap O(i,k) for incremental consumers
-// (internal/stream's sliding window) that must reproduce Engineer's
-// arithmetic bit for bit.
-func Overlap(a, b *logs.Record) float64 { return overlap(a, b) }
-
-// overlap returns O(i,k) = max(0, min(Tei,Tek) − max(Tsi,Tsk)).
-func overlap(a, b *logs.Record) float64 {
-	lo := a.Ts
-	if b.Ts > lo {
-		lo = b.Ts
+// Insert puts row id, which ends at te, at position i and raises the
+// running maximum of the entries after it, up to the first that already
+// reaches te.
+func (e *EpList) Insert(i int, id int32, te float64) {
+	m := te
+	if i > 0 && e.MaxEnd[i-1] > m {
+		m = e.MaxEnd[i-1]
 	}
-	hi := a.Te
-	if b.Te < hi {
-		hi = b.Te
+	e.IDs, e.MaxEnd = append(e.IDs, id), append(e.MaxEnd, m)
+	if i == len(e.IDs)-1 {
+		return
 	}
-	if hi <= lo {
-		return 0
+	copy(e.IDs[i+1:], e.IDs[i:])
+	copy(e.MaxEnd[i+1:], e.MaxEnd[i:])
+	e.IDs[i], e.MaxEnd[i] = id, m
+	for j := i + 1; j < len(e.MaxEnd) && e.MaxEnd[j] < te; j++ {
+		e.MaxEnd[j] = te
 	}
-	return hi - lo
 }
 
-// accumulate computes the Eq. 2 sums for one directional competitor set
-// in one pass: the overlap-scaled aggregate rate (K), TCP stream count
-// (S) and GridFTP process count (G). The scan runs from firstOverlap to
-// the first competitor starting after rk ends, so it visits only
-// transfers that can overlap rk, in list order — the same terms, summed
-// in the same order, as a scan over every candidate.
-func accumulate(recs []logs.Record, list []int, maxEnd []float64, rk *logs.Record, k int) (kRate, sStreams, g float64) {
-	dur := rk.Duration()
+// DropHead removes the first entry and recomputes the running maximum
+// from the front, reading end times from te, up to the first entry it
+// leaves unchanged.
+func (e *EpList) DropHead(te []float64) {
+	e.IDs, e.MaxEnd = e.IDs[1:], e.MaxEnd[1:]
+	for j, id := range e.IDs {
+		m := te[id]
+		if j > 0 && e.MaxEnd[j-1] > m {
+			m = e.MaxEnd[j-1]
+		}
+		if e.MaxEnd[j] == m {
+			return
+		}
+		e.MaxEnd[j] = m
+	}
+}
+
+// Endpoint indexes the rows that use one endpoint as source and as
+// destination.
+type Endpoint struct {
+	AsSrc, AsDst EpList
+}
+
+// Fold is the Eq. 2 kernel: the overlap-scaled aggregate rate (K), TCP
+// stream count (S) and GridFTP process count (G) of row k's competitors
+// in one directional list, in one pass. The scan runs from From(Ts[k])
+// to the first competitor starting after row k ends and skips k itself,
+// so it visits only rows that can overlap k, in list order.
+func (ld *Load) Fold(e *EpList, k int) (kRate, sStreams, g float64) {
+	te := ld.Te[k]
+	dur := te - ld.Ts[k]
 	if dur <= 0 {
 		return 0, 0, 0
 	}
-	for _, i := range list[firstOverlap(maxEnd, rk.Ts):] {
-		ri := &recs[i]
-		if ri.Ts > rk.Te {
+	for _, id := range e.IDs[e.From(ld.Ts[k]):] {
+		i := int(id)
+		if ld.Ts[i] > te {
 			break
 		}
 		if i == k {
 			continue
 		}
-		o := overlap(ri, rk)
+		o := ld.Overlap(i, k)
 		if o <= 0 {
 			continue
 		}
 		frac := o / dur
-		kRate += frac * ri.Rate()
-		sStreams += frac * float64(ri.Streams())
-		g += frac * float64(ri.Processes())
+		kRate += frac * ld.Rate[i]
+		sStreams += frac * ld.Streams[i]
+		g += frac * ld.Procs[i]
 	}
 	return kRate, sStreams, g
+}
+
+// Contend fills v's contending-load fields for row k from the lists of
+// its source and destination endpoints. G counts every competing
+// transfer touching the endpoint in either direction (§4.3.1: "all
+// transfers except k that have srck as their source or destination").
+func (ld *Load) Contend(v *Vector, k int, src, dst *Endpoint) {
+	var g1, g2 float64
+	v.Ksout, v.Ssout, g1 = ld.Fold(&src.AsSrc, k)
+	v.Ksin, v.Ssin, g2 = ld.Fold(&src.AsDst, k)
+	v.Gsrc = g1 + g2
+	v.Kdout, v.Sdout, g1 = ld.Fold(&dst.AsSrc, k)
+	v.Kdin, v.Sdin, g2 = ld.Fold(&dst.AsDst, k)
+	v.Gdst = g1 + g2
+}
+
+// Engineer computes feature vectors for every record in the log. The log
+// is sorted by start time as a side effect. The per-record overlap
+// analysis runs on a worker pool sized to the available CPUs; each record
+// only reads the shared index and writes its own output slot, so the
+// result is identical to the serial computation
+// (TestEngineerParallelMatchesSerial pins this).
+func Engineer(l *logs.Log) []Vector {
+	return engineer(l, pool.Workers())
+}
+
+func engineer(l *logs.Log, workers int) []Vector {
+	l.SortByStart()
+	recs := l.Records
+	n := len(recs)
+	ld := Load{Ts: make([]float64, n), Te: make([]float64, n),
+		Rate: make([]float64, n), Streams: make([]float64, n), Procs: make([]float64, n)}
+	src, dst := make([]int32, n), make([]int32, n)
+	codes := map[string]int32{}
+	code := func(id string) int32 {
+		c, ok := codes[id]
+		if !ok {
+			c = int32(len(codes))
+			codes[id] = c
+		}
+		return c
+	}
+	for i := range recs {
+		r := &recs[i]
+		ld.Set(i, r)
+		src[i], dst[i] = code(r.Src), code(r.Dst)
+	}
+	return engineerLoad(&ld, src, dst, len(codes), workers, func(k int) Vector { return NewVector(&recs[k]) })
+}
+
+// engineerLoad is the batch body shared by the row and column paths. The
+// rows of ld are in (Ts, ID) order; src and dst give each row's endpoint
+// codes in [0, nEp); own returns row k's NewVector.
+func engineerLoad(ld *Load, src, dst []int32, nEp, workers int, own func(k int) Vector) []Vector {
+	eps := make([]Endpoint, nEp)
+	for i := range src {
+		s, d := &eps[src[i]].AsSrc, &eps[dst[i]].AsDst
+		s.Insert(len(s.IDs), int32(i), ld.Te[i])
+		d.Insert(len(d.IDs), int32(i), ld.Te[i])
+	}
+	// Rows are in start order, so every list is too. From here the index
+	// is read-only.
+	out := make([]Vector, len(src))
+	pool.Do(len(out), workers, func(k int) {
+		v := own(k)
+		v.RecordIdx = k
+		ld.Contend(&v, k, &eps[src[k]], &eps[dst[k]])
+		out[k] = v
+	})
+	return out
 }
 
 // Dataset assembles a modeling dataset from the chosen vectors. When

@@ -184,28 +184,27 @@ func TestEngineerMatchesReferenceScan(t *testing.T) {
 // the four lists of every record of a start-sorted log.
 func boundedVisits(l *logs.Log) float64 {
 	recs := l.Records
-	idx := map[string]*epIndex{}
+	idx := map[string]*Endpoint{}
+	list := func(ep string, src bool) *EpList {
+		if idx[ep] == nil {
+			idx[ep] = &Endpoint{}
+		}
+		if src {
+			return &idx[ep].AsSrc
+		}
+		return &idx[ep].AsDst
+	}
 	for i := range recs {
-		for side, ep := range []string{recs[i].Src, recs[i].Dst} {
-			e := idx[ep]
-			if e == nil {
-				e = &epIndex{}
-				idx[ep] = e
-			}
-			if side == 0 {
-				e.asSrc, e.srcEnd = append(e.asSrc, i), appendMaxEnd(e.srcEnd, recs[i].Te)
-			} else {
-				e.asDst, e.dstEnd = append(e.asDst, i), appendMaxEnd(e.dstEnd, recs[i].Te)
-			}
+		for _, e := range []*EpList{list(recs[i].Src, true), list(recs[i].Dst, false)} {
+			e.Insert(len(e.IDs), int32(i), recs[i].Te)
 		}
 	}
 	var n int
 	for k := range recs {
 		rk := &recs[k]
-		for _, e := range []*epIndex{idx[rk.Src], idx[rk.Dst]} {
-			for side, list := range [][]int{e.asSrc, e.asDst} {
-				maxEnd := [][]float64{e.srcEnd, e.dstEnd}[side]
-				for _, i := range list[firstOverlap(maxEnd, rk.Ts):] {
+		for _, ep := range []*Endpoint{idx[rk.Src], idx[rk.Dst]} {
+			for _, e := range []*EpList{&ep.AsSrc, &ep.AsDst} {
+				for _, i := range e.IDs[e.From(rk.Ts):] {
 					if recs[i].Ts > rk.Te {
 						break
 					}
@@ -215,4 +214,21 @@ func boundedVisits(l *logs.Log) float64 {
 		}
 	}
 	return float64(n)
+}
+
+// overlap is the record form of Load.Overlap:
+// O(i,k) = max(0, min(Tei,Tek) − max(Tsi,Tsk)).
+func overlap(a, b *logs.Record) float64 {
+	lo := a.Ts
+	if b.Ts > lo {
+		lo = b.Ts
+	}
+	hi := a.Te
+	if b.Te < hi {
+		hi = b.Te
+	}
+	if hi <= lo {
+		return 0
+	}
+	return hi - lo
 }

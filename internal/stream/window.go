@@ -7,33 +7,21 @@
 package stream
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/features"
 	"repro/internal/logs"
 )
 
-// winRec is one record resident in the window, with its cached feature
-// vector. A record is dirty when a neighbouring add/evict may have
-// changed its contending-load features; clean records keep their cached
-// vector across Vectors calls.
-type winRec struct {
+// slot is one resident record with its cached feature vector. A slot is
+// dirty when a neighbouring add/evict may have changed its
+// contending-load features; clean slots keep their cached vector across
+// Vectors calls.
+type slot struct {
 	rec   logs.Record
 	vec   features.Vector
 	dirty bool
-}
-
-// epList mirrors features.epIndex for a window endpoint: the resident
-// records using it as source and as destination, each ordered by
-// (Ts, ID), plus a duration bound for overlap searches. maxDur is
-// monotone — it never shrinks on eviction — which is safe because it
-// only widens the candidate range: candidates admitted by a loose bound
-// but not overlapping contribute exactly nothing to the fold (they are
-// skipped before any arithmetic), so folds with a loose bound are bit
-// identical to folds with the batch path's tight bound.
-type epList struct {
-	asSrc, asDst []*winRec
-	maxDur       float64
 }
 
 // WindowStats counts the work the incremental maintenance did: Refolds
@@ -45,17 +33,25 @@ type WindowStats struct {
 }
 
 // Window is a count-bounded sliding window over transfer records that
-// maintains the Eq. 2 contending-load features incrementally. Adding or
-// evicting a record marks only the records it overlaps (at its two
-// endpoints) dirty; Vectors recomputes exactly the dirty records, using
-// the same per-endpoint candidate search and fold order as the batch
-// features.Engineer — so the output is bit-identical to engineering the
-// window's records from scratch, at a cost proportional to churn rather
-// than window size. Not safe for concurrent use.
+// maintains the Eq. 2 contending-load features incrementally. Residents
+// live in slots: row s of one features.Load and entry s of slots, with
+// evicted slots reused through a free list. Each endpoint keeps two
+// features.EpList indexes of slot ids in (Ts, ID) order, ties in arrival
+// order, with their running maximum end kept across mid-list inserts and
+// head evictions. Adding or evicting a record marks only the records it
+// overlaps (at its two endpoints) dirty; Vectors refolds exactly the
+// dirty records with features.Load.Contend, the kernel the batch
+// features.Engineer runs over the same lists in the same order — so the
+// output is bit-identical to engineering the window's records from
+// scratch, at a cost proportional to churn rather than window size. Not
+// safe for concurrent use.
 type Window struct {
 	capacity int
-	recs     []*winRec // (Ts, ID)-ordered, ties in arrival order
-	eps      map[string]*epList
+	load     features.Load
+	slots    []slot
+	free     []int32
+	order    []int32 // resident slots in (Ts, ID) order, ties in arrival order
+	eps      map[string]*features.Endpoint
 	stats    WindowStats
 }
 
@@ -65,11 +61,11 @@ func NewWindow(capacity int) *Window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Window{capacity: capacity, eps: make(map[string]*epList)}
+	return &Window{capacity: capacity, eps: make(map[string]*features.Endpoint)}
 }
 
 // Len returns the number of resident records.
-func (w *Window) Len() int { return len(w.recs) }
+func (w *Window) Len() int { return len(w.order) }
 
 // Cap returns the window capacity.
 func (w *Window) Cap() int { return w.capacity }
@@ -77,183 +73,98 @@ func (w *Window) Cap() int { return w.capacity }
 // Stats returns the maintenance counters so far.
 func (w *Window) Stats() WindowStats { return w.stats }
 
-func (w *Window) ep(id string) *epList {
+func (w *Window) ep(id string) *features.Endpoint {
 	e, ok := w.eps[id]
 	if !ok {
-		e = &epList{}
+		e = &features.Endpoint{}
 		w.eps[id] = e
 	}
 	return e
 }
 
-// recLess orders window entries the way logs.Log.SortByStart orders
-// records: by start time, then ID.
-func recLess(a, b *winRec) bool {
-	if a.rec.Ts != b.rec.Ts {
-		return a.rec.Ts < b.rec.Ts
-	}
-	return a.rec.ID < b.rec.ID
-}
-
-// insertRec inserts wr at its upper bound, so records with equal (Ts, ID)
-// keep arrival order — matching the batch path's stable sort.
-func insertRec(list []*winRec, wr *winRec) []*winRec {
-	i := sort.Search(len(list), func(k int) bool { return recLess(wr, list[k]) })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = wr
-	return list
-}
-
-// removeRec removes the exact entry wr (by identity) from a sorted list.
-func removeRec(list []*winRec, wr *winRec) []*winRec {
-	i := sort.Search(len(list), func(k int) bool { return !recLess(list[k], wr) })
-	for ; i < len(list); i++ {
-		if list[i] == wr {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// candRange returns the sublist whose start times fall in
-// [rk.Ts − maxDur, rk.Te]: every competitor that can overlap rk, plus
-// some that cannot, which add nothing to the sums.
-func candRange(list []*winRec, rk *logs.Record, maxDur float64) []*winRec {
-	lo := sort.Search(len(list), func(i int) bool { return list[i].rec.Ts >= rk.Ts-maxDur })
-	hi := sort.Search(len(list), func(i int) bool { return list[i].rec.Ts > rk.Te })
-	return list[lo:hi]
+// upper returns the position in ids after every slot that sorts at or
+// before slot s by (Ts, ID), so records with equal keys keep arrival
+// order — matching the batch path's stable sort.
+func (w *Window) upper(ids []int32, s int32) int {
+	ts, id := w.load.Ts[s], w.slots[s].rec.ID
+	return sort.Search(len(ids), func(k int) bool {
+		c := ids[k]
+		return ts < w.load.Ts[c] || ts == w.load.Ts[c] && id < w.slots[c].rec.ID
+	})
 }
 
 // Add inserts a record, marks the residents it overlaps dirty, and
 // evicts the oldest records (lowest start time) while over capacity.
 // It returns the evicted records in eviction order.
 func (w *Window) Add(r logs.Record) []logs.Record {
-	wr := &winRec{rec: r, dirty: true}
-	src, dst := w.ep(r.Src), w.ep(r.Dst)
-	src.asSrc = insertRec(src.asSrc, wr)
-	dst.asDst = insertRec(dst.asDst, wr)
-	if d := r.Duration(); d > src.maxDur {
-		src.maxDur = d
+	var s int32
+	if n := len(w.free); n > 0 {
+		s, w.free = w.free[n-1], w.free[:n-1]
+		w.slots[s] = slot{rec: r, dirty: true}
+	} else {
+		s = int32(len(w.slots))
+		w.slots = append(w.slots, slot{rec: r, dirty: true})
 	}
-	if d := r.Duration(); d > dst.maxDur {
-		dst.maxDur = d
-	}
-	w.recs = insertRec(w.recs, wr)
-	w.markOverlapping(wr)
+	w.load.Set(int(s), &r)
+	src, dst := &w.ep(r.Src).AsSrc, &w.ep(r.Dst).AsDst
+	src.Insert(w.upper(src.IDs, s), s, r.Te)
+	dst.Insert(w.upper(dst.IDs, s), s, r.Te)
+	w.order = slices.Insert(w.order, w.upper(w.order, s), s)
+	w.markOverlapping(s)
 	w.stats.Added++
 
 	var evicted []logs.Record
-	for len(w.recs) > w.capacity {
+	for len(w.order) > w.capacity {
 		evicted = append(evicted, w.evictOldest())
 	}
 	return evicted
 }
 
 // evictOldest removes the first (oldest-start) record, marking the
-// residents whose features it contributed to dirty.
+// residents whose features it contributed to dirty. The record heads
+// both of its endpoint lists too, since they order by the same key and
+// tie rule as the window.
 func (w *Window) evictOldest() logs.Record {
-	wr := w.recs[0]
-	w.recs = w.recs[1:]
-	w.markOverlapping(wr)
-	src, dst := w.eps[wr.rec.Src], w.eps[wr.rec.Dst]
-	src.asSrc = removeRec(src.asSrc, wr)
-	dst.asDst = removeRec(dst.asDst, wr)
+	s := w.order[0]
+	w.order = w.order[1:]
+	w.markOverlapping(s)
+	r := w.slots[s].rec
+	w.eps[r.Src].AsSrc.DropHead(w.load.Te)
+	w.eps[r.Dst].AsDst.DropHead(w.load.Te)
+	for _, id := range [2]string{r.Src, r.Dst} {
+		if e := w.eps[id]; e != nil && len(e.AsSrc.IDs)+len(e.AsDst.IDs) == 0 {
+			delete(w.eps, id)
+		}
+	}
+	w.free = append(w.free, s)
 	w.stats.Evicted++
-	return wr.rec
+	return r
 }
 
-// markOverlapping marks every resident record whose fold includes wr
+// markOverlapping marks every resident record whose fold includes slot s
 // dirty: a record's features only consult the endpoint lists of its own
-// source and destination, so wr can only influence records appearing in
-// the lists of wr's endpoints, and only when the overlap is positive.
-func (w *Window) markOverlapping(wr *winRec) {
-	mark := func(ep *epList) {
-		for _, list := range [2][]*winRec{ep.asSrc, ep.asDst} {
-			for _, c := range candRange(list, &wr.rec, ep.maxDur) {
-				if c != wr && features.Overlap(&c.rec, &wr.rec) > 0 {
-					c.dirty = true
+// source and destination, so s can only influence records appearing in
+// the lists of s's endpoints, and only when the overlap is positive. It
+// scans the range Load.Fold scans for s.
+func (w *Window) markOverlapping(s int32) {
+	ts, te := w.load.Ts[s], w.load.Te[s]
+	mark := func(ep *features.Endpoint) {
+		for _, e := range [2]*features.EpList{&ep.AsSrc, &ep.AsDst} {
+			for _, c := range e.IDs[e.From(ts):] {
+				if w.load.Ts[c] > te {
+					break
+				}
+				if c != s && w.load.Overlap(int(c), int(s)) > 0 {
+					w.slots[c].dirty = true
 				}
 			}
 		}
 	}
-	mark(w.eps[wr.rec.Src])
-	if wr.rec.Dst != wr.rec.Src {
-		mark(w.eps[wr.rec.Dst])
+	r := &w.slots[s].rec
+	mark(w.eps[r.Src])
+	if r.Dst != r.Src {
+		mark(w.eps[r.Dst])
 	}
-}
-
-// foldKS mirrors the K and S sums of features.accumulate over a window
-// list: the overlap-scaled aggregate rate (K) and TCP stream count (S)
-// of the competitors in list, folded in ascending (Ts, ID) order.
-func foldKS(list []*winRec, self *winRec, maxDur float64) (kRate, sStreams float64) {
-	rk := &self.rec
-	dur := rk.Duration()
-	if dur <= 0 {
-		return 0, 0
-	}
-	for _, c := range candRange(list, rk, maxDur) {
-		if c == self {
-			continue
-		}
-		ri := &c.rec
-		o := features.Overlap(ri, rk)
-		if o <= 0 {
-			continue
-		}
-		frac := o / dur
-		kRate += frac * ri.Rate()
-		sStreams += frac * float64(ri.Streams())
-	}
-	return kRate, sStreams
-}
-
-// foldG mirrors the G sum of features.accumulate over a window list.
-func foldG(list []*winRec, self *winRec, maxDur float64) float64 {
-	rk := &self.rec
-	dur := rk.Duration()
-	if dur <= 0 {
-		return 0
-	}
-	var g float64
-	for _, c := range candRange(list, rk, maxDur) {
-		if c == self {
-			continue
-		}
-		ri := &c.rec
-		o := features.Overlap(ri, rk)
-		if o <= 0 {
-			continue
-		}
-		g += o / dur * float64(ri.Processes())
-	}
-	return g
-}
-
-// refold recomputes one record's vector from the current window, in the
-// exact shape and order of the batch path's per-record computation.
-func (w *Window) refold(wr *winRec) {
-	rk := &wr.rec
-	v := features.Vector{
-		Rate: rk.Rate(),
-		C:    float64(rk.Conc),
-		P:    float64(rk.Par),
-		Nf:   float64(rk.Files),
-		Nd:   float64(rk.Dirs),
-		Nb:   rk.Bytes,
-		Nflt: float64(rk.Faults),
-	}
-	src, dst := w.eps[rk.Src], w.eps[rk.Dst]
-
-	v.Ksout, v.Ssout = foldKS(src.asSrc, wr, src.maxDur)
-	v.Ksin, v.Ssin = foldKS(src.asDst, wr, src.maxDur)
-	v.Kdout, v.Sdout = foldKS(dst.asSrc, wr, dst.maxDur)
-	v.Kdin, v.Sdin = foldKS(dst.asDst, wr, dst.maxDur)
-
-	v.Gsrc = foldG(src.asSrc, wr, src.maxDur) + foldG(src.asDst, wr, src.maxDur)
-	v.Gdst = foldG(dst.asSrc, wr, dst.maxDur) + foldG(dst.asDst, wr, dst.maxDur)
-
-	wr.vec = v
 }
 
 // Vectors returns the feature vectors of every resident record in
@@ -261,18 +172,19 @@ func (w *Window) refold(wr *winRec) {
 // record's position in the returned order, matching what
 // features.Engineer would assign over Records().
 func (w *Window) Vectors() []features.Vector {
-	out := make([]features.Vector, len(w.recs))
-	for k, wr := range w.recs {
-		if wr.dirty {
-			w.refold(wr)
-			wr.dirty = false
+	out := make([]features.Vector, len(w.order))
+	for k, s := range w.order {
+		sl := &w.slots[s]
+		if sl.dirty {
+			sl.vec = features.NewVector(&sl.rec)
+			w.load.Contend(&sl.vec, int(s), w.eps[sl.rec.Src], w.eps[sl.rec.Dst])
+			sl.dirty = false
 			w.stats.Refolds++
 		} else {
 			w.stats.CacheHits++
 		}
-		v := wr.vec
-		v.RecordIdx = k
-		out[k] = v
+		out[k] = sl.vec
+		out[k].RecordIdx = k
 	}
 	return out
 }
@@ -281,8 +193,8 @@ func (w *Window) Vectors() []features.Vector {
 // (already sorted by start time, the order Engineer establishes).
 func (w *Window) Records() *logs.Log {
 	l := logs.NewLog()
-	for _, wr := range w.recs {
-		l.Append(wr.rec)
+	for _, s := range w.order {
+		l.Append(w.slots[s].rec)
 	}
 	return l
 }
